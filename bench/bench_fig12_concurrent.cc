@@ -8,7 +8,7 @@
  */
 #include "base/parallel.h"
 #include "bench/common.h"
-#include "core/admission.h"
+#include "service/launch_service.h"
 #include "sim/des.h"
 #include "stats/ascii_chart.h"
 #include "workload/synthetic.h"
@@ -106,13 +106,13 @@ main(int argc, char **argv)
                 "serializes - the hardware bottleneck the paper flags "
                 "for future work (S6.2)");
 
-    // ---- Wall clock: admission pipeline + template cache ----------------
+    // ---- Wall clock: launch service + template cache ------------------
     //
     // The section above replays virtual time; this one measures the
     // real serving path. Eight identical launches: sequentially, cache
-    // bypassed (what a burst cost before the admission pipeline) vs
-    // submitted together through AdmissionPipeline with the template
-    // cache on — the first build is deduplicated single-flight and the
+    // bypassed (what a burst cost without a launch queue) vs submitted
+    // together through service::LaunchService with the template cache
+    // on — the first build is deduplicated single-flight and the
     // seven followers boot warm.
     bench::banner("Figure 12 (wall clock)",
                   "8 identical launches: sequential cold vs pipelined");
@@ -144,13 +144,17 @@ main(int argc, char **argv)
     t0 = bench::wallClock();
     {
         core::Platform pipe_platform;
-        core::AdmissionPipeline pipeline(pipe_platform);
-        workers = pipeline.workers();
+        service::TenantRegistry registry;
+        if (!registry.registerTenant("burst", {}).isOk()) {
+            fatal("registerTenant failed");
+        }
+        service::LaunchService svc(pipe_platform, registry);
+        workers = svc.workers();
         std::vector<std::shared_ptr<core::LaunchTicket>> tickets;
         tickets.reserve(kBurst);
         for (int i = 0; i < kBurst; ++i) {
-            tickets.push_back(pipeline.submit(
-                core::StrategyKind::kSeveriFastBz, burst_request));
+            tickets.push_back(svc.submit(
+                "burst", core::StrategyKind::kSeveriFastBz, burst_request));
         }
         for (std::shared_ptr<core::LaunchTicket> &ticket : tickets) {
             Result<core::LaunchResult> r = ticket->take();

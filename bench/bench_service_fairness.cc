@@ -206,7 +206,7 @@ main(int argc, char **argv)
         for (int i = 0; i < kLightSamples; ++i) {
             light.push_back(timedLaunch(svc, "light"));
         }
-        heavy_done_at_finish = svc.pipeline().stats().completed;
+        heavy_done_at_finish = svc.stats().completed;
         mixed_light_p50 = percentileSec(light, 0.50);
         for (auto &ticket : heavy_tickets) {
             Result<core::LaunchResult> r = ticket->take();

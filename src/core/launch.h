@@ -16,8 +16,11 @@
 #ifndef SEVF_CORE_LAUNCH_H_
 #define SEVF_CORE_LAUNCH_H_
 
+#include <condition_variable>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 // Forward declarations to keep the header light.
@@ -31,6 +34,8 @@ namespace sevf::cache {
 struct LaunchTemplate;
 }
 
+#include "base/mutex.h"
+#include "base/thread_annotations.h"
 #include "cache/launch_key.h"
 #include "compress/codec.h"
 #include "memory/sev_mode.h"
@@ -142,13 +147,61 @@ struct LaunchResult {
     sim::Duration totalTime() const { return trace.total(); }
 };
 
+/**
+ * Completion handle for one queued launch (service::LaunchService).
+ * Single-consumer: take() moves the result out; a second take()
+ * returns kInvalidState.
+ */
+class LaunchTicket
+{
+  public:
+    /** Block until the launch completes, then take its result. */
+    Result<LaunchResult>
+    take()
+    {
+        base::MutexLock lock(mu_);
+        while (!result_.has_value()) {
+            done_.wait(lock.native());
+        }
+        Result<LaunchResult> out = std::move(*result_);
+        // Leave an explicit error behind: ready() stays true, but a
+        // second take() must not observe the moved-from launch result.
+        result_.emplace(errInvalidState("launch ticket already taken"));
+        return out;
+    }
+
+    /** True once the result is available (take() will not block). */
+    bool
+    ready() const
+    {
+        base::MutexLock lock(mu_);
+        return result_.has_value();
+    }
+
+    /** Resolve the ticket; called exactly once, by whoever owns it. */
+    void
+    complete(Result<LaunchResult> result)
+    {
+        {
+            base::MutexLock lock(mu_);
+            result_.emplace(std::move(result));
+        }
+        done_.notify_all();
+    }
+
+  private:
+    mutable base::Mutex mu_;
+    std::condition_variable done_;
+    std::optional<Result<LaunchResult>> result_ SEVF_GUARDED_BY(mu_);
+};
+
 class TraceBuilder;
 
 /**
  * A boot scheme. One instance serves one launch at a time: launch()
  * keeps per-launch template-capture state in the strategy object, so
- * concurrent launches must each use their own instance (the admission
- * pipeline constructs one per request).
+ * concurrent launches must each use their own instance (the launch
+ * service constructs one per request).
  */
 class BootStrategy
 {

@@ -17,7 +17,7 @@
  * indistinguishable from a corrupt file, a failed mmap degrades to the
  * heap fallback. Recovery policies live with the layers they protect:
  * bounded retry in psp::Psp (fault/retry.h), disk-tier quarantine in
- * cache::TemplateCache, load shedding in core::AdmissionPipeline.
+ * cache::TemplateCache, load shedding in service::LaunchService.
  *
  * The disarmed fast path is one relaxed atomic load and branch — the
  * same contract as the obs layer — so production binaries that never
@@ -44,7 +44,7 @@ enum class FaultSite : u8 {
     kCacheDiskRead,    //!< template-cache disk-tier load
     kCacheDiskWrite,   //!< template-cache disk-tier persist
     kDramMmap,         //!< DramBuffer anonymous mmap
-    kAdmissionEnqueue, //!< admission-pipeline submit (forces shedding)
+    kAdmissionEnqueue, //!< launch-queue admission (forces shedding)
     kServiceEnqueue,   //!< launch-service tenant submit (typed reject)
 };
 

@@ -41,8 +41,8 @@ using GuestHandle = u32;
  * (the queue-fairness half of the Fig 12 bottleneck; the latency half
  * is charged as StepKind::kPsp virtual time). Every public Psp method
  * holds a Turn for its full duration, which also makes the device
- * model's internal state safe under the concurrent-launch admission
- * pipeline (core/admission.h).
+ * model's internal state safe under the concurrent launch queue
+ * (service/launch_service.h).
  */
 class TicketGate
 {

@@ -2,9 +2,9 @@
  * @file
  * Weighted deficit-round-robin scheduler over per-tenant sub-queues.
  *
- * Replaces the admission pipeline's global FIFO (ISSUE 10): each tenant
- * owns a private queue, and dispatch walks an active ring giving every
- * tenant `weight` pops per round before yielding the head. With unit
+ * The launch service's dispatch order: each tenant owns a private
+ * queue, and dispatch walks an active ring giving every tenant
+ * `weight` pops per round before yielding the head. With unit
  * job cost the deficit counter degenerates to a credit count, so a
  * tenant flooding its queue gets exactly its weighted share of worker
  * slots while a light tenant's sparse jobs dispatch within one round.
@@ -12,14 +12,13 @@
  * a standing backlog its first job waits only for the in-service
  * launch — the latency bound bench_service_fairness gates on.
  *
- * Two per-tenant admission limits ride along:
+ * Two per-tenant admission limits from TenantQuota ride along:
  *  - max_queued: push() refuses past it (kQuotaExceeded at the caller),
  *  - max_in_flight: pop() skips the tenant until a completion is noted.
  *
- * Deliberately NOT thread-safe and NOT a link dependency: the structure
- * is header-only plain data, owned and locked by AdmissionPipeline
- * (guarded by AdmissionPipeline::mu_). The service *library* on top
- * (service/launch_service.h) maps TenantRegistry quotas into Limits.
+ * Deliberately NOT thread-safe: the structure is header-only plain
+ * data, owned and locked by LaunchService (guarded by
+ * LaunchService::mu_).
  */
 #ifndef SEVF_SERVICE_DRR_SCHEDULER_H_
 #define SEVF_SERVICE_DRR_SCHEDULER_H_
@@ -32,18 +31,9 @@
 #include <utility>
 
 #include "base/types.h"
+#include "service/tenant.h"
 
 namespace sevf::service {
-
-/** Per-tenant scheduling parameters (a subset of TenantQuota). */
-struct ScheduleLimits {
-    /** Pops per round-robin round; relative share under contention. */
-    u32 weight = 1;
-    /** Dispatched-but-unfinished cap; 0 = unlimited. */
-    u32 max_in_flight = 0;
-    /** Queued-job cap enforced by push(); 0 = unlimited. */
-    std::size_t max_queued = 0;
-};
 
 template <typename Job>
 class DrrScheduler
@@ -56,9 +46,10 @@ class DrrScheduler
     };
 
     /** Install/replace @p tenant's limits (weight applies at the next
-     *  credit replenish; caps apply immediately). */
+     *  credit replenish; caps apply immediately; the cache share is not
+     *  the scheduler's concern). */
     void
-    setLimits(const std::string &tenant, ScheduleLimits limits)
+    setLimits(const std::string &tenant, const TenantQuota &limits)
     {
         tenantFor(tenant).limits = limits;
     }
@@ -173,7 +164,7 @@ class DrrScheduler
 
   private:
     struct Tenant {
-        ScheduleLimits limits;
+        TenantQuota limits;
         std::deque<Job> queue;
         u32 credits = 0;
         u32 in_flight = 0;

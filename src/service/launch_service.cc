@@ -1,7 +1,10 @@
 #include "service/launch_service.h"
 
+#include <algorithm>
+#include <optional>
 #include <utility>
 
+#include "base/parallel.h"
 #include "cache/template_cache.h"
 #include "fault/fault.h"
 #include "obs/metrics.h"
@@ -11,6 +14,10 @@ namespace sevf::service {
 
 namespace {
 
+inline constexpr const char *kShedHelp =
+    "Launches rejected with kBackpressure instead of queueing";
+inline constexpr const char *kQuotaHelp =
+    "Launches rejected with kQuotaExceeded (per-tenant quota)";
 inline constexpr const char *kSubmittedHelp =
     "Launches submitted through the launch service, per tenant";
 inline constexpr const char *kCompletedHelp =
@@ -19,7 +26,7 @@ inline constexpr const char *kFailedHelp =
     "Launch-service launches that failed after dispatch, per tenant";
 inline constexpr const char *kRejectedHelp =
     "Launch-service launches rejected before dispatch (unknown tenant, "
-    "quota, shed, injected fault), per tenant";
+    "quota, shed, injected fault, shutdown), per tenant";
 inline constexpr const char *kLatencyHelp =
     "Submit-to-resolution wall nanoseconds, per tenant";
 
@@ -40,16 +47,69 @@ registerTenantMetrics(const std::string &tenant)
                         obs::defaultTimeBoundsNs(), labels);
 }
 
+/**
+ * Count one resolved ticket in @p tenant's @p family and, for a launch
+ * that got past the service's own checks (@p submit_ns set), observe
+ * its submit-to-resolution latency. Called just before the ticket
+ * resolves, so a consumer that saw its result sees it counted.
+ */
+void
+countOutcome(const std::string &tenant, const char *family,
+             const char *help, u64 submit_ns)
+{
+    obs::Registry &reg = obs::Registry::instance();
+    obs::Labels labels{{"tenant", tenant}};
+    reg.counter(family, help, labels).add();
+    if (submit_ns != 0) {
+        reg.histogram("sevf_service_latency_ns", kLatencyHelp,
+                      obs::defaultTimeBoundsNs(), labels)
+            .observe(obs::wallNowNs() - submit_ns);
+    }
+}
+
 } // namespace
 
 LaunchService::LaunchService(core::Platform &platform,
                              TenantRegistry &registry, ServiceConfig config)
     : platform_(platform), registry_(registry),
-      pipeline_(platform, core::AdmissionConfig{config.workers,
-                                                config.queue_depth,
-                                                config.shed_on_full})
+      queue_limit_(config.queue_depth == 0 ? 1 : config.queue_depth),
+      shed_on_full_(config.shed_on_full)
 {
+    // Eager registration: the rejection counters must appear
+    // (zero-valued) in every export so the obscheck doc gates cover
+    // them on fault-free runs.
+    (void)obs::Registry::instance().counter("sevf_admission_shed_total",
+                                            kShedHelp);
+    (void)obs::Registry::instance().counter(
+        "sevf_admission_rejected_quota_total", kQuotaHelp);
     applyQuotas();
+    unsigned n = config.workers != 0
+                     ? config.workers
+                     : std::clamp(base::hardwareThreads(), 2u, 8u);
+    threads_.reserve(n);
+    for (unsigned i = 0; i < n; ++i) {
+        threads_.emplace_back([this] { workerLoop(); });
+    }
+}
+
+LaunchService::~LaunchService()
+{
+    // stopping_ is set BEFORE the drain and space_ is notified along
+    // with work_: a submitter blocked on a full queue re-checks
+    // stopping_ and bails with a typed error instead of waiting on a
+    // notify that would never come (draining first would let a
+    // submitter that lost the wakeup race sleep in space_.wait forever).
+    {
+        base::MutexLock lock(mu_);
+        stopping_ = true;
+    }
+    space_.notify_all();
+    work_.notify_all();
+    drain();
+    work_.notify_all();
+    for (std::thread &t : threads_) {
+        t.join();
+    }
 }
 
 Status
@@ -72,10 +132,15 @@ LaunchService::applyQuotas()
         if (!quota.has_value()) {
             continue; // racing re-registration; next applyQuotas catches up
         }
-        pipeline_.setTenantLimits(id, quota->scheduleLimits());
+        {
+            base::MutexLock lock(mu_);
+            sched_.setLimits(id, *quota);
+        }
         registerTenantMetrics(id);
         total_share += quota->cache_share_bytes;
     }
+    // A raised in-flight cap may make parked jobs dispatchable.
+    work_.notify_all();
     if (total_share == 0) {
         return; // no tenant bought cache bytes: keep the default budget
     }
@@ -94,55 +159,207 @@ LaunchService::submit(const std::string &tenant, core::StrategyKind kind,
                       core::LaunchRequest request)
 {
     SEVF_SPAN("service.enqueue");
-    obs::Labels labels{{"tenant", tenant}};
-    obs::Registry &reg = obs::Registry::instance();
-
-    auto rejected = [&](Status error) {
-        reg.counter("sevf_service_rejected_total", kRejectedHelp, labels)
-            .add();
-        return core::AdmissionPipeline::rejectedTicket(std::move(error));
+    auto ticket = std::make_shared<core::LaunchTicket>();
+    u64 submit_ns = 0;
+    // Every resolution on this path means the launch never ran, so it
+    // counts as rejected whatever its error code.
+    auto reject = [&](Status error) {
+        countOutcome(tenant, "sevf_service_rejected_total", kRejectedHelp,
+                     submit_ns);
+        ticket->complete(std::move(error));
+        return ticket;
     };
 
     if (!registry_.quota(tenant).has_value()) {
-        return rejected(
+        return reject(
             errNotFound("unknown tenant \"" + tenant + "\"" +
                         ": register it before submitting launches"));
     }
     Status admitted = fault::FaultInjector::instance().check(
         fault::FaultSite::kServiceEnqueue, "service submit: " + tenant);
     if (!admitted.isOk()) {
-        return rejected(std::move(admitted));
+        return reject(std::move(admitted));
     }
-
-    reg.counter("sevf_service_submitted_total", kSubmittedHelp, labels)
+    obs::Registry::instance()
+        .counter("sevf_service_submitted_total", kSubmittedHelp,
+                 {{"tenant", tenant}})
         .add();
-    u64 t0 = obs::wallNowNs();
-    // The hook fires exactly once per ticket, on whichever thread
-    // resolves it, so the per-tenant counters cannot drift from the
-    // ticket outcomes (core/admission.h).
-    return pipeline_.submit(
-        kind, std::move(request), tenant,
-        [labels, t0](const Result<core::LaunchResult> &result) {
-            obs::Registry &r = obs::Registry::instance();
-            if (result.isOk()) {
-                r.counter("sevf_service_completed_total", kCompletedHelp,
-                          labels)
-                    .add();
-            } else if (result.status().code() ==
-                           ErrorCode::kQuotaExceeded ||
-                       result.status().code() ==
-                           ErrorCode::kBackpressure) {
-                r.counter("sevf_service_rejected_total", kRejectedHelp,
-                          labels)
-                    .add();
-            } else {
-                r.counter("sevf_service_failed_total", kFailedHelp, labels)
-                    .add();
+    submit_ns = obs::wallNowNs();
+
+    Job job;
+    job.kind = kind;
+    job.request = std::move(request);
+    job.request.host_threads = 1;
+    job.ticket = ticket;
+    job.tenant = tenant;
+    job.submit_ns = submit_ns;
+
+    // Load shedding: an injected enqueue fault (deterministic tests) or
+    // a full queue under shed_on_full resolves the ticket right here
+    // with a typed, retryable-by-the-caller backpressure error.
+    bool shed = !fault::FaultInjector::instance()
+                     .check(fault::FaultSite::kAdmissionEnqueue,
+                            "launch admission")
+                     .isOk();
+    bool quota_rejected = false;
+    bool shutting_down = false;
+    u64 depth = 0;
+    {
+        base::MutexLock lock(mu_);
+        if (!shed && shed_on_full_ && sched_.size() >= queue_limit_) {
+            shed = true;
+        }
+        if (shed) {
+            stats_.shed++;
+        } else {
+            while (sched_.size() >= queue_limit_ && !stopping_) {
+                space_.wait(lock.native());
             }
-            r.histogram("sevf_service_latency_ns", kLatencyHelp,
-                        obs::defaultTimeBoundsNs(), labels)
-                .observe(obs::wallNowNs() - t0);
-        });
+            if (stopping_) {
+                // Shutdown race: the service is being destroyed; no
+                // worker will ever pop a late enqueue, so fail the
+                // ticket with a typed error instead of wedging it.
+                shutting_down = true;
+            } else if (sched_.push(tenant, std::move(job)) ==
+                       DrrScheduler<Job>::Push::kQuotaExceeded) {
+                quota_rejected = true;
+                stats_.rejected_quota++;
+            } else {
+                depth = sched_.size();
+                stats_.submitted++;
+                stats_.peak_queue_depth =
+                    std::max<u64>(stats_.peak_queue_depth, depth);
+            }
+        }
+    }
+    if (shed) {
+        if (obs::metricsEnabled()) {
+            obs::Registry::instance()
+                .counter("sevf_admission_shed_total", kShedHelp)
+                .add();
+        }
+        return reject(errBackpressure(
+            "admission queue full: launch shed, retry later"));
+    }
+    if (shutting_down) {
+        return reject(errUnavailable(
+            "launch service shutting down: launch not admitted"));
+    }
+    if (quota_rejected) {
+        if (obs::metricsEnabled()) {
+            obs::Registry::instance()
+                .counter("sevf_admission_rejected_quota_total", kQuotaHelp)
+                .add();
+        }
+        return reject(errQuotaExceeded(
+            "tenant " + tenant + " over its queued-launch quota"));
+    }
+    work_.notify_one();
+    if (obs::metricsEnabled()) {
+        obs::Registry::instance()
+            .counter("sevf_admission_submitted_total",
+                     "Launches admitted to the launch queue")
+            .add();
+        obs::Registry::instance()
+            .gauge("sevf_admission_queue_depth",
+                   "Launches waiting in the launch queue (peak)")
+            .setMax(static_cast<i64>(depth));
+    }
+    return ticket;
+}
+
+void
+LaunchService::drain()
+{
+    base::MutexLock lock(mu_);
+    while (!sched_.idle() || active_ != 0) {
+        idle_.wait(lock.native());
+    }
+}
+
+LaunchService::Stats
+LaunchService::stats() const
+{
+    base::MutexLock lock(mu_);
+    return stats_;
+}
+
+void
+LaunchService::workerLoop()
+{
+    for (;;) {
+        Job job;
+        {
+            base::MutexLock lock(mu_);
+            for (;;) {
+                // pop() is nullopt both when nothing is queued and when
+                // every queued tenant sits at its in-flight cap; either
+                // way a completion or an enqueue re-notifies work_.
+                std::optional<Job> next = sched_.pop();
+                if (next.has_value()) {
+                    job = std::move(*next);
+                    break;
+                }
+                if (stopping_ && sched_.idle()) {
+                    return;
+                }
+                work_.wait(lock.native());
+            }
+            active_++;
+        }
+        space_.notify_one();
+        if (obs::metricsEnabled()) {
+            obs::Registry::instance()
+                .histogram("sevf_admission_queue_wait_ns",
+                           "Wall nanoseconds a launch waited for a worker",
+                           obs::defaultTimeBoundsNs())
+                .observe(obs::wallNowNs() - job.submit_ns);
+        }
+
+        // One strategy instance per launch: the template-capture state
+        // inside BootStrategy is per-launch (core/launch.h).
+        std::unique_ptr<core::BootStrategy> strategy =
+            core::makeStrategy(job.kind);
+        Result<core::LaunchResult> result =
+            strategy->launch(platform_, job.request);
+
+        bool ok = result.isOk();
+        // Count completion BEFORE resolving the ticket (a consumer that
+        // saw its result must see it counted), and stay active until
+        // AFTER (drain() must not return with a ticket still pending).
+        {
+            base::MutexLock lock(mu_);
+            stats_.completed++;
+            if (!ok) {
+                stats_.failed++;
+            }
+        }
+        // A worker resolves only launches that ran: completed or failed.
+        if (ok) {
+            countOutcome(job.tenant, "sevf_service_completed_total",
+                         kCompletedHelp, job.submit_ns);
+        } else {
+            countOutcome(job.tenant, "sevf_service_failed_total",
+                         kFailedHelp, job.submit_ns);
+        }
+        job.ticket->complete(std::move(result));
+        {
+            base::MutexLock lock(mu_);
+            sched_.noteCompleted(job.tenant);
+            active_--;
+            if (sched_.idle() && active_ == 0) {
+                idle_.notify_all();
+            }
+        }
+        // The freed in-flight slot may unblock a capped tenant's job.
+        work_.notify_all();
+        if (obs::metricsEnabled()) {
+            obs::Registry::instance()
+                .counter("sevf_admission_completed_total",
+                         "Launches completed by the launch queue")
+                .add();
+        }
+    }
 }
 
 } // namespace sevf::service

@@ -5,7 +5,7 @@
  * A tenant is an opaque id (the serving layer's notion of a customer)
  * with a quota: a DRR weight, an in-flight cap, a queued-launch cap,
  * and a cache-byte share. The registry is the single source of truth
- * the launch service reads to (a) program the admission scheduler's
+ * the launch service reads to (a) program its DRR scheduler's
  * per-tenant limits and (b) size the template cache — the global
  * budget is the sum of registered shares, and the per-shard cap is
  * that total divided by the shard count (docs/SERVICE.md).
@@ -27,7 +27,6 @@
 #include "base/status.h"
 #include "base/thread_annotations.h"
 #include "base/types.h"
-#include "service/drr_scheduler.h"
 
 namespace sevf::service {
 
@@ -41,24 +40,12 @@ struct TenantQuota {
     std::size_t max_queued = 0;
     /** Contribution to the template-cache byte budget. */
     u64 cache_share_bytes = 0;
-
-    /** The subset the admission scheduler consumes. */
-    ScheduleLimits
-    scheduleLimits() const
-    {
-        ScheduleLimits limits;
-        limits.weight = weight;
-        limits.max_in_flight = max_in_flight;
-        limits.max_queued = max_queued;
-        return limits;
-    }
 };
 
 class TenantRegistry
 {
   public:
-    /** Register (or re-register, updating the quota) @p id. Empty ids
-     *  are reserved for the quota-less legacy submit path. */
+    /** Register (or re-register, updating the quota) @p id. */
     Status
     registerTenant(const std::string &id, TenantQuota quota)
     {

@@ -2,13 +2,11 @@
  * @file
  * Launch-template cache tests: key derivation, LRU-by-bytes eviction,
  * single-flight build dedup, disk persistence, copy-on-write
- * instantiation, the admission pipeline, and the core invariant - a
- * cache hit is bit-identical to the cold boot it replaces.
+ * instantiation, and the core invariant - a cache hit is bit-identical
+ * to the cold boot it replaces.
  */
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -16,10 +14,8 @@
 
 #include "cache/launch_key.h"
 #include "cache/template_cache.h"
-#include "core/admission.h"
 #include "core/launch.h"
 #include "memory/guest_memory.h"
-#include "service/drr_scheduler.h"
 #include "workload/synthetic.h"
 
 namespace sevf {
@@ -653,281 +649,6 @@ TEST(CowTest, RawViewMaterializesEverything)
     EXPECT_EQ(mem.cowMaterializedCount(), 3u);
     EXPECT_EQ(raw[kPageSize], 0x11);
     EXPECT_EQ(raw[0], 0);
-}
-
-// ===================================================================
-// Admission pipeline
-// ===================================================================
-
-TEST(AdmissionTest, BurstDedupsIntoOneColdBoot)
-{
-    core::Platform platform(sim::CostParams::deterministic());
-    core::AdmissionConfig config;
-    config.workers = 2;
-    core::AdmissionPipeline pipeline(platform, config);
-    core::LaunchRequest req = smallRequest();
-
-    constexpr int kBurst = 6;
-    std::vector<std::shared_ptr<core::LaunchTicket>> tickets;
-    for (int i = 0; i < kBurst; ++i) {
-        tickets.push_back(
-            pipeline.submit(core::StrategyKind::kSeveriFastBz, req));
-    }
-
-    int warm = 0;
-    crypto::Sha256Digest measurement{};
-    for (int i = 0; i < kBurst; ++i) {
-        Result<core::LaunchResult> r = tickets[i]->take();
-        ASSERT_TRUE(r.isOk()) << r.status().toString();
-        if (i == 0) {
-            measurement = r->measurement;
-        }
-        EXPECT_EQ(r->measurement, measurement);
-        warm += r->cache_hit ? 1 : 0;
-    }
-    EXPECT_EQ(warm, kBurst - 1)
-        << "identical requests collapse into one single-flight build";
-
-    core::AdmissionPipeline::Stats stats = pipeline.stats();
-    EXPECT_EQ(stats.submitted, static_cast<u64>(kBurst));
-    EXPECT_EQ(stats.completed, static_cast<u64>(kBurst));
-    EXPECT_EQ(stats.failed, 0u);
-}
-
-TEST(AdmissionTest, TicketIsSingleConsumer)
-{
-    core::Platform platform(sim::CostParams::deterministic());
-    core::AdmissionPipeline pipeline(platform);
-    auto ticket = pipeline.submit(core::StrategyKind::kStockFirecracker,
-                                  smallRequest());
-    ASSERT_TRUE(ticket->take().isOk());
-    Result<core::LaunchResult> again = ticket->take();
-    EXPECT_FALSE(again.isOk());
-    EXPECT_EQ(again.status().code(), ErrorCode::kInvalidState);
-}
-
-TEST(AdmissionTest, DestructionDrainsOutstandingTickets)
-{
-    core::Platform platform(sim::CostParams::deterministic());
-    std::vector<std::shared_ptr<core::LaunchTicket>> tickets;
-    {
-        core::AdmissionPipeline pipeline(platform);
-        for (int i = 0; i < 4; ++i) {
-            tickets.push_back(pipeline.submit(
-                core::StrategyKind::kSeveriFastBz, smallRequest()));
-        }
-        // Destructor must complete every admitted launch.
-    }
-    for (auto &ticket : tickets) {
-        EXPECT_TRUE(ticket->ready());
-        EXPECT_TRUE(ticket->take().isOk());
-    }
-}
-
-// The ISSUE 10 shutdown race: a submit() blocked on a full queue with
-// shed_on_full off must not deadlock when the pipeline is destroyed —
-// it resolves its ticket with a typed kUnavailable instead. A 1-deep
-// queue plus a single worker makes the third submit reliably block.
-TEST(AdmissionTest, ShutdownResolvesBlockedSubmitWithTypedError)
-{
-    core::Platform platform(sim::CostParams::deterministic());
-    std::vector<std::shared_ptr<core::LaunchTicket>> tickets;
-    std::shared_ptr<core::LaunchTicket> blocked;
-    std::thread submitter;
-    {
-        core::AdmissionConfig config;
-        config.workers = 1;
-        config.queue_depth = 1;
-        core::AdmissionPipeline pipeline(platform, config);
-        // Fill the worker and the single queue slot.
-        tickets.push_back(pipeline.submit(
-            core::StrategyKind::kSeveriFastBz, smallRequest()));
-        tickets.push_back(pipeline.submit(
-            core::StrategyKind::kSeveriFastBz, smallRequest()));
-        // The third submit likely parks in space_.wait (or, if the
-        // worker drained fast enough, is admitted normally — both
-        // resolutions below are valid).
-        submitter = std::thread([&pipeline, &blocked] {
-            blocked = pipeline.submit(core::StrategyKind::kSeveriFastBz,
-                                      smallRequest());
-        });
-        std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        // Destruction must wake the blocked submitter; if it doesn't,
-        // this test hangs (the regression being guarded against).
-    }
-    submitter.join();
-    ASSERT_NE(blocked, nullptr);
-    Result<core::LaunchResult> r = blocked->take();
-    if (!r.isOk()) {
-        EXPECT_EQ(r.status().code(), ErrorCode::kUnavailable)
-            << r.status().toString();
-    }
-    for (auto &ticket : tickets) {
-        EXPECT_TRUE(ticket->take().isOk());
-    }
-}
-
-TEST(AdmissionTest, TenantQuotaRejectsWithTypedError)
-{
-    core::Platform platform(sim::CostParams::deterministic());
-    core::AdmissionConfig config;
-    config.workers = 1;
-    core::AdmissionPipeline pipeline(platform, config);
-    service::ScheduleLimits limits;
-    limits.max_queued = 1;
-    pipeline.setTenantLimits("capped", limits);
-
-    // Burst well past the quota: at most 1 queued + whatever the single
-    // worker already pulled in flight may be admitted; the tail of the
-    // burst must see typed kQuotaExceeded rejections.
-    constexpr int kBurst = 8;
-    std::vector<std::shared_ptr<core::LaunchTicket>> tickets;
-    for (int i = 0; i < kBurst; ++i) {
-        tickets.push_back(pipeline.submit(
-            core::StrategyKind::kSeveriFastBz, smallRequest(), "capped"));
-    }
-    int rejected = 0;
-    for (auto &ticket : tickets) {
-        Result<core::LaunchResult> r = ticket->take();
-        if (!r.isOk()) {
-            EXPECT_EQ(r.status().code(), ErrorCode::kQuotaExceeded)
-                << r.status().toString();
-            rejected++;
-        }
-    }
-    EXPECT_GT(rejected, 0) << "an 8-burst into a 1-deep tenant quota "
-                              "must reject some launches";
-    core::AdmissionPipeline::Stats stats = pipeline.stats();
-    EXPECT_EQ(stats.rejected_quota, static_cast<u64>(rejected));
-    EXPECT_EQ(stats.submitted + stats.rejected_quota,
-              static_cast<u64>(kBurst));
-}
-
-TEST(AdmissionTest, CompletionHookSeesResultOnWorkerThread)
-{
-    core::Platform platform(sim::CostParams::deterministic());
-    core::AdmissionPipeline pipeline(platform);
-    std::atomic<int> hook_runs{0};
-    std::atomic<bool> hook_ok{false};
-    auto ticket = pipeline.submit(
-        core::StrategyKind::kSeveriFastBz, smallRequest(), "t0",
-        [&](const Result<core::LaunchResult> &r) {
-            hook_ok = r.isOk();
-            hook_runs++;
-        });
-    ASSERT_TRUE(ticket->take().isOk());
-    pipeline.drain();
-    EXPECT_EQ(hook_runs.load(), 1);
-    EXPECT_TRUE(hook_ok.load());
-}
-
-// ===================================================================
-// DRR scheduler (unit level — the structure AdmissionPipeline locks)
-// ===================================================================
-
-TEST(DrrSchedulerTest, WeightedShareUnderContention)
-{
-    service::DrrScheduler<int> sched;
-    service::ScheduleLimits heavy;
-    heavy.weight = 3;
-    sched.setLimits("heavy", heavy);
-    // "light" keeps the default weight of 1.
-    for (int i = 0; i < 12; ++i) {
-        ASSERT_EQ(sched.push("heavy", 100 + i),
-                  service::DrrScheduler<int>::Push::kOk);
-    }
-    for (int i = 0; i < 4; ++i) {
-        ASSERT_EQ(sched.push("light", 200 + i),
-                  service::DrrScheduler<int>::Push::kOk);
-    }
-    // Every round: 3 heavy pops then 1 light pop (3:1 weighted share),
-    // so the light tenant's last job leaves by pop 16 overall and each
-    // window of 4 pops contains exactly one light job.
-    std::vector<bool> light_at;
-    while (!sched.idle()) {
-        std::optional<int> job = sched.pop();
-        ASSERT_TRUE(job.has_value());
-        light_at.push_back(*job >= 200);
-        sched.noteCompleted(*job >= 200 ? "light" : "heavy");
-    }
-    ASSERT_EQ(light_at.size(), 16u);
-    for (int round = 0; round < 4; ++round) {
-        int light_in_round = 0;
-        for (int k = 0; k < 4; ++k) {
-            light_in_round += light_at[round * 4 + k] ? 1 : 0;
-        }
-        EXPECT_EQ(light_in_round, 1)
-            << "round " << round
-            << ": light tenant must dispatch once per 4-pop round";
-    }
-}
-
-TEST(DrrSchedulerTest, InFlightCapParksTenantUntilCompletion)
-{
-    service::DrrScheduler<int> sched;
-    service::ScheduleLimits capped;
-    capped.max_in_flight = 1;
-    sched.setLimits("capped", capped);
-    ASSERT_EQ(sched.push("capped", 1),
-              service::DrrScheduler<int>::Push::kOk);
-    ASSERT_EQ(sched.push("capped", 2),
-              service::DrrScheduler<int>::Push::kOk);
-
-    std::optional<int> first = sched.pop();
-    ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(*first, 1);
-    // Second pop: the only queued tenant is at its cap → nullopt, and
-    // the scheduler still reports the parked job as queued.
-    EXPECT_FALSE(sched.pop().has_value());
-    EXPECT_EQ(sched.size(), 1u);
-    EXPECT_EQ(sched.queuedFor("capped"), 1u);
-    EXPECT_EQ(sched.inFlightFor("capped"), 1u);
-
-    sched.noteCompleted("capped");
-    std::optional<int> second = sched.pop();
-    ASSERT_TRUE(second.has_value());
-    EXPECT_EQ(*second, 2);
-    EXPECT_TRUE(sched.idle());
-}
-
-TEST(DrrSchedulerTest, MaxQueuedRefusesPush)
-{
-    service::DrrScheduler<int> sched;
-    service::ScheduleLimits limits;
-    limits.max_queued = 2;
-    sched.setLimits("t", limits);
-    EXPECT_EQ(sched.push("t", 1), service::DrrScheduler<int>::Push::kOk);
-    EXPECT_EQ(sched.push("t", 2), service::DrrScheduler<int>::Push::kOk);
-    EXPECT_EQ(sched.push("t", 3),
-              service::DrrScheduler<int>::Push::kQuotaExceeded);
-    // A pop frees a slot (quota is on QUEUED jobs, not in-flight ones).
-    ASSERT_TRUE(sched.pop().has_value());
-    EXPECT_EQ(sched.push("t", 3), service::DrrScheduler<int>::Push::kOk);
-}
-
-TEST(DrrSchedulerTest, IdleTenantEntersAtRingHead)
-{
-    // The latency bound bench_service_fairness gates on: a tenant going
-    // idle -> active takes the ring head, so against a standing backlog
-    // its job is the very next pop instead of waiting out the
-    // backlogged tenant's whole quantum.
-    service::DrrScheduler<int> sched;
-    for (int i = 0; i < 50; ++i) {
-        ASSERT_EQ(sched.push("heavy", i),
-                  service::DrrScheduler<int>::Push::kOk);
-    }
-    for (int i = 0; i < 10; ++i) {
-        ASSERT_TRUE(sched.pop().has_value());
-    }
-    ASSERT_EQ(sched.push("light", 1000),
-              service::DrrScheduler<int>::Push::kOk);
-    std::optional<int> next = sched.pop();
-    ASSERT_TRUE(next.has_value());
-    EXPECT_EQ(*next, 1000);
-    // Once its queue drains it leaves the ring; heavy resumes.
-    std::optional<int> after = sched.pop();
-    ASSERT_TRUE(after.has_value());
-    EXPECT_LT(*after, 1000);
 }
 
 } // namespace

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "cache/template_cache.h"
-#include "core/admission.h"
 #include "core/launch.h"
 #include "fault/fault.h"
 #include "service/launch_service.h"
@@ -113,10 +112,12 @@ TEST(ChaosTest, EveryStrategySurvivesOrFailsTyped)
 
             core::Platform platform(sim::CostParams::deterministic());
             platform.templateCache().setDiskDir(disk_dir.string());
-            core::AdmissionConfig config;
+            service::TenantRegistry registry;
+            ASSERT_TRUE(registry.registerTenant("chaos", {}).isOk());
+            service::ServiceConfig config;
             config.workers = 2;
-            core::AdmissionPipeline pipeline(platform, config);
-            auto ticket = pipeline.submit(kind, chaosRequest());
+            service::LaunchService svc(platform, registry, config);
+            auto ticket = svc.submit("chaos", kind, chaosRequest());
             Result<core::LaunchResult> result = ticket->take();
 
             for (FaultSite site :
@@ -155,7 +156,7 @@ TEST(ChaosTest, EveryStrategySurvivesOrFailsTyped)
 
 // The serving-layer chaos sweep: the same survive-or-fail-typed
 // contract, exercised through the multi-tenant launch service with the
-// service-enqueue fault site armed on top of the pipeline sites and a
+// service-enqueue fault site armed on top of the launch sites and a
 // tight per-tenant quota in play. Every ticket must resolve with the
 // baseline measurement or a typed error — quota rejections included.
 TEST(ChaosTest, ServiceSubmitSurvivesOrFailsTyped)

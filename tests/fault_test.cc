@@ -2,7 +2,7 @@
  * @file
  * Fault-injection framework tests: plan parsing/round-trip, the
  * injector's deterministic triggers, the retry/backoff policy, cache
- * disk-tier quarantine, DRAM mmap fallback, and admission-pipeline load
+ * disk-tier quarantine, DRAM mmap fallback, and launch-service load
  * shedding (including drain-during-fault and double-drain).
  */
 #include <gtest/gtest.h>
@@ -11,13 +11,13 @@
 
 #include "cache/launch_key.h"
 #include "cache/template_cache.h"
-#include "core/admission.h"
 #include "core/launch.h"
 #include "fault/fault.h"
 #include "fault/retry.h"
 #include "memory/dram.h"
 #include "psp/key_server.h"
 #include "psp/psp.h"
+#include "service/launch_service.h"
 
 namespace sevf {
 namespace {
@@ -459,7 +459,7 @@ TEST(DramFaultTest, MmapFaultDegradesToHeapFallback)
 }
 
 // ===================================================================
-// Admission load shedding + drain error paths
+// Launch-service load shedding + drain error paths
 // ===================================================================
 
 core::LaunchRequest
@@ -475,7 +475,9 @@ tinyRequest()
 TEST(AdmissionShedTest, InjectedEnqueueFaultShedsWithBackpressure)
 {
     core::Platform platform(sim::CostParams::deterministic());
-    core::AdmissionPipeline pipeline(platform);
+    service::TenantRegistry registry;
+    ASSERT_TRUE(registry.registerTenant("t", {}).isOk());
+    service::LaunchService svc(platform, registry);
 
     Result<FaultPlan> plan = FaultPlan::parse("admission:nth=1");
     ASSERT_TRUE(plan.isOk());
@@ -483,10 +485,10 @@ TEST(AdmissionShedTest, InjectedEnqueueFaultShedsWithBackpressure)
     std::shared_ptr<core::LaunchTicket> admitted;
     {
         ScopedFaultPlan armed(plan.take());
-        shed = pipeline.submit(core::StrategyKind::kSeveriFastBz,
-                               tinyRequest());
-        admitted = pipeline.submit(core::StrategyKind::kSeveriFastBz,
-                                   tinyRequest());
+        shed = svc.submit("t", core::StrategyKind::kSeveriFastBz,
+                          tinyRequest());
+        admitted = svc.submit("t", core::StrategyKind::kSeveriFastBz,
+                              tinyRequest());
     }
 
     // The shed ticket resolves immediately with the typed error.
@@ -498,7 +500,7 @@ TEST(AdmissionShedTest, InjectedEnqueueFaultShedsWithBackpressure)
     Result<core::LaunchResult> ok = admitted->take();
     ASSERT_TRUE(ok.isOk()) << ok.status().toString();
 
-    core::AdmissionPipeline::Stats stats = pipeline.stats();
+    service::LaunchService::Stats stats = svc.stats();
     EXPECT_EQ(stats.shed, 1u);
     EXPECT_EQ(stats.submitted, 1u) << "shed launches are not admitted";
     EXPECT_EQ(stats.completed, 1u);
@@ -507,20 +509,22 @@ TEST(AdmissionShedTest, InjectedEnqueueFaultShedsWithBackpressure)
 TEST(AdmissionShedTest, ShedOnFullRejectsWhenQueueIsSaturated)
 {
     core::Platform platform(sim::CostParams::deterministic());
-    core::AdmissionConfig config;
+    service::TenantRegistry registry;
+    ASSERT_TRUE(registry.registerTenant("t", {}).isOk());
+    service::ServiceConfig config;
     config.workers = 1;
     config.queue_depth = 1;
     config.shed_on_full = true;
-    core::AdmissionPipeline pipeline(platform, config);
+    service::LaunchService svc(platform, registry, config);
 
     // Saturate: one job running, one queued, then a burst. With
     // shed_on_full nothing blocks; some of the burst must shed.
     std::vector<std::shared_ptr<core::LaunchTicket>> tickets;
     for (int i = 0; i < 8; ++i) {
-        tickets.push_back(pipeline.submit(
-            core::StrategyKind::kStockFirecracker, tinyRequest()));
+        tickets.push_back(svc.submit(
+            "t", core::StrategyKind::kStockFirecracker, tinyRequest()));
     }
-    pipeline.drain();
+    svc.drain();
 
     u64 ok = 0;
     u64 backpressure = 0;
@@ -536,7 +540,7 @@ TEST(AdmissionShedTest, ShedOnFullRejectsWhenQueueIsSaturated)
     }
     EXPECT_EQ(ok + backpressure, 8u);
     EXPECT_GE(ok, 1u) << "the running job always completes";
-    core::AdmissionPipeline::Stats stats = pipeline.stats();
+    service::LaunchService::Stats stats = svc.stats();
     EXPECT_EQ(stats.shed, backpressure);
     EXPECT_EQ(stats.submitted, ok);
 }
@@ -546,17 +550,19 @@ TEST(AdmissionShedTest, DrainDuringFaultCompletesEveryTicket)
     // Faults on every other enqueue: drain() must still terminate with
     // every ticket (shed or admitted) resolved.
     core::Platform platform(sim::CostParams::deterministic());
-    core::AdmissionPipeline pipeline(platform);
+    service::TenantRegistry registry;
+    ASSERT_TRUE(registry.registerTenant("t", {}).isOk());
+    service::LaunchService svc(platform, registry);
     Result<FaultPlan> plan = FaultPlan::parse("seed=3;admission:p=0.5");
     ASSERT_TRUE(plan.isOk());
     std::vector<std::shared_ptr<core::LaunchTicket>> tickets;
     {
         ScopedFaultPlan armed(plan.take());
         for (int i = 0; i < 8; ++i) {
-            tickets.push_back(pipeline.submit(
-                core::StrategyKind::kSeveriFastBz, tinyRequest()));
+            tickets.push_back(svc.submit(
+                "t", core::StrategyKind::kSeveriFastBz, tinyRequest()));
         }
-        pipeline.drain();
+        svc.drain();
     }
     for (auto &t : tickets) {
         EXPECT_TRUE(t->ready()) << "drain() leaves no ticket pending";
@@ -565,21 +571,23 @@ TEST(AdmissionShedTest, DrainDuringFaultCompletesEveryTicket)
             EXPECT_EQ(r.status().code(), ErrorCode::kBackpressure);
         }
     }
-    core::AdmissionPipeline::Stats stats = pipeline.stats();
+    service::LaunchService::Stats stats = svc.stats();
     EXPECT_EQ(stats.shed + stats.submitted, 8u);
 }
 
 TEST(AdmissionShedTest, DoubleDrainIsIdempotent)
 {
     core::Platform platform(sim::CostParams::deterministic());
-    core::AdmissionPipeline pipeline(platform);
-    auto ticket = pipeline.submit(core::StrategyKind::kStockFirecracker,
-                                  tinyRequest());
-    pipeline.drain();
-    pipeline.drain(); // second drain on an idle pipeline returns at once
+    service::TenantRegistry registry;
+    ASSERT_TRUE(registry.registerTenant("t", {}).isOk());
+    service::LaunchService svc(platform, registry);
+    auto ticket = svc.submit("t", core::StrategyKind::kStockFirecracker,
+                             tinyRequest());
+    svc.drain();
+    svc.drain(); // second drain on an idle service returns at once
     EXPECT_TRUE(ticket->ready());
     EXPECT_TRUE(ticket->take().isOk());
-    pipeline.drain(); // and a third after consumption still no-ops
+    svc.drain(); // and a third after consumption still no-ops
 }
 
 } // namespace

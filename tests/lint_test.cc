@@ -8,6 +8,7 @@
  * --selftest) covers the end-to-end CLI; these tests pin down engine
  * semantics at the API level where failures are easier to localize.
  */
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -945,6 +946,28 @@ readAudited(const unsigned char *data, unsigned long off)
 } // namespace t
 )");
     EXPECT_TRUE(lintFull(tree).violations.empty());
+}
+
+// ---- layer-include -------------------------------------------------------
+
+TEST(LintLayerInclude, UpwardIncludesFlaggedDownwardClean)
+{
+    TempTree tree;
+    tree.write("service/queue.h", "#include \"core/launch.h\"\n");
+    tree.write("core/launch.h", "#include \"service/queue.h\"\n");
+    tree.write("crypto/aes.h", "#include \"core/launch.h\"\n"
+                               "#include \"base/types.h\"\n");
+    tree.write("core/platform.cc", "#include \"core/launch.h\"\n");
+    tree.write("base/types.h", "");
+    std::vector<std::string> flagged;
+    for (const Violation &v : lint(tree)) {
+        if (v.rule == "layer-include") {
+            flagged.push_back(v.file + ":" + std::to_string(v.line));
+        }
+    }
+    std::sort(flagged.begin(), flagged.end());
+    std::vector<std::string> expected{"core/launch.h:1", "crypto/aes.h:1"};
+    EXPECT_EQ(flagged, expected);
 }
 
 // ---- JSON rendering ------------------------------------------------------

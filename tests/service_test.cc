@@ -3,12 +3,16 @@
  * Multi-tenant launch-service tests: tenant registry validation, quota
  * plumbing into the scheduler and cache budgets, typed rejections
  * (unknown tenant, quota, injected service-enqueue fault), per-tenant
- * metrics, and workload-trace parse + replay.
+ * metrics, the launch queue (burst dedup, single-consumer tickets,
+ * drain on destruction, the shutdown race), the DRR scheduler, and
+ * workload-trace parse + replay.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cache/template_cache.h"
@@ -17,6 +21,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "service/drr_scheduler.h"
 #include "service/launch_service.h"
 #include "service/tenant.h"
 #include "service/trace_replay.h"
@@ -218,6 +223,284 @@ TEST(LaunchServiceTest, TenantQuotaRejectionCountsPerTenant)
                   .counter("sevf_service_rejected_total", "", labels)
                   .value(),
               rejected);
+}
+
+// ===================================================================
+// Launch queue: admission, single-consumer tickets, shutdown
+// ===================================================================
+
+TEST(AdmissionTest, BurstDedupsIntoOneColdBoot)
+{
+    core::Platform platform(sim::CostParams::deterministic());
+    service::TenantRegistry registry;
+    ASSERT_TRUE(registry.registerTenant("t", {}).isOk());
+    service::ServiceConfig config;
+    config.workers = 2;
+    service::LaunchService svc(platform, registry, config);
+    core::LaunchRequest req = smallRequest();
+
+    constexpr int kBurst = 6;
+    std::vector<std::shared_ptr<core::LaunchTicket>> tickets;
+    for (int i = 0; i < kBurst; ++i) {
+        tickets.push_back(
+            svc.submit("t", core::StrategyKind::kSeveriFastBz, req));
+    }
+
+    int warm = 0;
+    crypto::Sha256Digest measurement{};
+    for (int i = 0; i < kBurst; ++i) {
+        Result<core::LaunchResult> r = tickets[i]->take();
+        ASSERT_TRUE(r.isOk()) << r.status().toString();
+        if (i == 0) {
+            measurement = r->measurement;
+        }
+        EXPECT_EQ(r->measurement, measurement);
+        warm += r->cache_hit ? 1 : 0;
+    }
+    EXPECT_EQ(warm, kBurst - 1)
+        << "identical requests collapse into one single-flight build";
+
+    service::LaunchService::Stats stats = svc.stats();
+    EXPECT_EQ(stats.submitted, static_cast<u64>(kBurst));
+    EXPECT_EQ(stats.completed, static_cast<u64>(kBurst));
+    EXPECT_EQ(stats.failed, 0u);
+}
+
+TEST(AdmissionTest, TicketIsSingleConsumer)
+{
+    core::Platform platform(sim::CostParams::deterministic());
+    service::TenantRegistry registry;
+    ASSERT_TRUE(registry.registerTenant("t", {}).isOk());
+    service::LaunchService svc(platform, registry);
+    auto ticket = svc.submit("t", core::StrategyKind::kStockFirecracker,
+                             smallRequest());
+    ASSERT_TRUE(ticket->take().isOk());
+    Result<core::LaunchResult> again = ticket->take();
+    EXPECT_FALSE(again.isOk());
+    EXPECT_EQ(again.status().code(), ErrorCode::kInvalidState);
+}
+
+TEST(AdmissionTest, DestructionDrainsOutstandingTickets)
+{
+    core::Platform platform(sim::CostParams::deterministic());
+    service::TenantRegistry registry;
+    ASSERT_TRUE(registry.registerTenant("t", {}).isOk());
+    std::vector<std::shared_ptr<core::LaunchTicket>> tickets;
+    {
+        service::LaunchService svc(platform, registry);
+        for (int i = 0; i < 4; ++i) {
+            tickets.push_back(svc.submit(
+                "t", core::StrategyKind::kSeveriFastBz, smallRequest()));
+        }
+        // Destructor must complete every admitted launch.
+    }
+    for (auto &ticket : tickets) {
+        EXPECT_TRUE(ticket->ready());
+        EXPECT_TRUE(ticket->take().isOk());
+    }
+}
+
+// The shutdown race: a submit() blocked on a full queue with
+// shed_on_full off must not deadlock when the service is destroyed —
+// it resolves its ticket with a typed kUnavailable instead, and the
+// tenant's counters book it as rejected (it never ran), not failed. A
+// 1-deep queue plus a single worker makes the third submit reliably
+// block.
+TEST(AdmissionTest, ShutdownResolvesBlockedSubmitWithTypedError)
+{
+    obs::ScopedEnable obs_on(/*metrics=*/true, /*tracing=*/false);
+    obs::Registry::instance().reset();
+    core::Platform platform(sim::CostParams::deterministic());
+    service::TenantRegistry registry;
+    ASSERT_TRUE(registry.registerTenant("t", {}).isOk());
+    std::vector<std::shared_ptr<core::LaunchTicket>> tickets;
+    std::shared_ptr<core::LaunchTicket> blocked;
+    std::thread submitter;
+    {
+        service::ServiceConfig config;
+        config.workers = 1;
+        config.queue_depth = 1;
+        service::LaunchService svc(platform, registry, config);
+        // Fill the worker and the single queue slot.
+        tickets.push_back(svc.submit(
+            "t", core::StrategyKind::kSeveriFastBz, smallRequest()));
+        tickets.push_back(svc.submit(
+            "t", core::StrategyKind::kSeveriFastBz, smallRequest()));
+        // The third submit likely parks in space_.wait (or, if the
+        // worker drained fast enough, is admitted normally — both
+        // resolutions below are valid).
+        submitter = std::thread([&svc, &blocked] {
+            blocked = svc.submit("t", core::StrategyKind::kSeveriFastBz,
+                                 smallRequest());
+        });
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        // Destruction must wake the blocked submitter; if it doesn't,
+        // this test hangs (the regression being guarded against).
+    }
+    submitter.join();
+    ASSERT_NE(blocked, nullptr);
+    Result<core::LaunchResult> r = blocked->take();
+    if (!r.isOk()) {
+        EXPECT_EQ(r.status().code(), ErrorCode::kUnavailable)
+            << r.status().toString();
+    }
+    for (auto &ticket : tickets) {
+        EXPECT_TRUE(ticket->take().isOk());
+    }
+    obs::Registry &reg = obs::Registry::instance();
+    obs::Labels labels{{"tenant", "t"}};
+    EXPECT_EQ(reg.counter("sevf_service_rejected_total", "", labels)
+                  .value(),
+              r.isOk() ? 0u : 1u)
+        << "a launch refused at shutdown never ran: rejected";
+    EXPECT_EQ(reg.counter("sevf_service_failed_total", "", labels).value(),
+              0u);
+}
+
+TEST(AdmissionTest, TenantQuotaRejectsWithTypedError)
+{
+    core::Platform platform(sim::CostParams::deterministic());
+    service::TenantRegistry registry;
+    service::TenantQuota quota;
+    quota.max_queued = 1;
+    ASSERT_TRUE(registry.registerTenant("capped", quota).isOk());
+    service::ServiceConfig config;
+    config.workers = 1;
+    service::LaunchService svc(platform, registry, config);
+
+    // Burst well past the quota: at most 1 queued + whatever the single
+    // worker already pulled in flight may be admitted; the tail of the
+    // burst must see typed kQuotaExceeded rejections.
+    constexpr int kBurst = 8;
+    std::vector<std::shared_ptr<core::LaunchTicket>> tickets;
+    for (int i = 0; i < kBurst; ++i) {
+        tickets.push_back(svc.submit(
+            "capped", core::StrategyKind::kSeveriFastBz, smallRequest()));
+    }
+    int rejected = 0;
+    for (auto &ticket : tickets) {
+        Result<core::LaunchResult> r = ticket->take();
+        if (!r.isOk()) {
+            EXPECT_EQ(r.status().code(), ErrorCode::kQuotaExceeded)
+                << r.status().toString();
+            rejected++;
+        }
+    }
+    EXPECT_GT(rejected, 0) << "an 8-burst into a 1-deep tenant quota "
+                              "must reject some launches";
+    service::LaunchService::Stats stats = svc.stats();
+    EXPECT_EQ(stats.rejected_quota, static_cast<u64>(rejected));
+    EXPECT_EQ(stats.submitted + stats.rejected_quota,
+              static_cast<u64>(kBurst));
+}
+
+// ===================================================================
+// DRR scheduler (unit level — the structure LaunchService locks)
+// ===================================================================
+
+TEST(DrrSchedulerTest, WeightedShareUnderContention)
+{
+    service::DrrScheduler<int> sched;
+    service::TenantQuota heavy;
+    heavy.weight = 3;
+    sched.setLimits("heavy", heavy);
+    // "light" keeps the default weight of 1.
+    for (int i = 0; i < 12; ++i) {
+        ASSERT_EQ(sched.push("heavy", 100 + i),
+                  service::DrrScheduler<int>::Push::kOk);
+    }
+    for (int i = 0; i < 4; ++i) {
+        ASSERT_EQ(sched.push("light", 200 + i),
+                  service::DrrScheduler<int>::Push::kOk);
+    }
+    // Every round: 3 heavy pops then 1 light pop (3:1 weighted share),
+    // so the light tenant's last job leaves by pop 16 overall and each
+    // window of 4 pops contains exactly one light job.
+    std::vector<bool> light_at;
+    while (!sched.idle()) {
+        std::optional<int> job = sched.pop();
+        ASSERT_TRUE(job.has_value());
+        light_at.push_back(*job >= 200);
+        sched.noteCompleted(*job >= 200 ? "light" : "heavy");
+    }
+    ASSERT_EQ(light_at.size(), 16u);
+    for (int round = 0; round < 4; ++round) {
+        int light_in_round = 0;
+        for (int k = 0; k < 4; ++k) {
+            light_in_round += light_at[round * 4 + k] ? 1 : 0;
+        }
+        EXPECT_EQ(light_in_round, 1)
+            << "round " << round
+            << ": light tenant must dispatch once per 4-pop round";
+    }
+}
+
+TEST(DrrSchedulerTest, InFlightCapParksTenantUntilCompletion)
+{
+    service::DrrScheduler<int> sched;
+    service::TenantQuota capped;
+    capped.max_in_flight = 1;
+    sched.setLimits("capped", capped);
+    ASSERT_EQ(sched.push("capped", 1),
+              service::DrrScheduler<int>::Push::kOk);
+    ASSERT_EQ(sched.push("capped", 2),
+              service::DrrScheduler<int>::Push::kOk);
+
+    std::optional<int> first = sched.pop();
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(*first, 1);
+    // Second pop: the only queued tenant is at its cap → nullopt, and
+    // the scheduler still reports the parked job as queued.
+    EXPECT_FALSE(sched.pop().has_value());
+    EXPECT_EQ(sched.size(), 1u);
+    EXPECT_EQ(sched.queuedFor("capped"), 1u);
+    EXPECT_EQ(sched.inFlightFor("capped"), 1u);
+
+    sched.noteCompleted("capped");
+    std::optional<int> second = sched.pop();
+    ASSERT_TRUE(second.has_value());
+    EXPECT_EQ(*second, 2);
+    EXPECT_TRUE(sched.idle());
+}
+
+TEST(DrrSchedulerTest, MaxQueuedRefusesPush)
+{
+    service::DrrScheduler<int> sched;
+    service::TenantQuota limits;
+    limits.max_queued = 2;
+    sched.setLimits("t", limits);
+    EXPECT_EQ(sched.push("t", 1), service::DrrScheduler<int>::Push::kOk);
+    EXPECT_EQ(sched.push("t", 2), service::DrrScheduler<int>::Push::kOk);
+    EXPECT_EQ(sched.push("t", 3),
+              service::DrrScheduler<int>::Push::kQuotaExceeded);
+    // A pop frees a slot (quota is on QUEUED jobs, not in-flight ones).
+    ASSERT_TRUE(sched.pop().has_value());
+    EXPECT_EQ(sched.push("t", 3), service::DrrScheduler<int>::Push::kOk);
+}
+
+TEST(DrrSchedulerTest, IdleTenantEntersAtRingHead)
+{
+    // The latency bound bench_service_fairness gates on: a tenant going
+    // idle -> active takes the ring head, so against a standing backlog
+    // its job is the very next pop instead of waiting out the
+    // backlogged tenant's whole quantum.
+    service::DrrScheduler<int> sched;
+    for (int i = 0; i < 50; ++i) {
+        ASSERT_EQ(sched.push("heavy", i),
+                  service::DrrScheduler<int>::Push::kOk);
+    }
+    for (int i = 0; i < 10; ++i) {
+        ASSERT_TRUE(sched.pop().has_value());
+    }
+    ASSERT_EQ(sched.push("light", 1000),
+              service::DrrScheduler<int>::Push::kOk);
+    std::optional<int> next = sched.pop();
+    ASSERT_TRUE(next.has_value());
+    EXPECT_EQ(*next, 1000);
+    // Once its queue drains it leaves the ring; heavy resumes.
+    std::optional<int> after = sched.pop();
+    ASSERT_TRUE(after.has_value());
+    EXPECT_LT(*after, 1000);
 }
 
 // ===================================================================

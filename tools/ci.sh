@@ -136,7 +136,7 @@ echo "==> [model] seeded mutants must be caught"
 #    at the repo root so runs are archived next to the sources; the two
 #    cache benches then merge their sections into the same file —
 #    bench_cache_hit asserts hit-vs-cold bit-identity for all five
-#    strategies, bench_fig12_concurrent asserts the admission pipeline's
+#    strategies, bench_fig12_concurrent asserts the launch service's
 #    aggregate-throughput gain over sequential cold boots.
 bench="$root/build-ci-werror/bench/bench_wallclock"
 echo "==> [bench] $bench BENCH_wallclock.json"
@@ -144,7 +144,7 @@ echo "==> [bench] $bench BENCH_wallclock.json"
 echo "==> [bench] cache hit/miss (bit-identity gate)"
 (cd "$root" && "$root/build-ci-werror/bench/bench_cache_hit" \
     "$root/BENCH_wallclock.json")
-echo "==> [bench] concurrent admission pipeline"
+echo "==> [bench] concurrent launch service"
 (cd "$root" && "$root/build-ci-werror/bench/bench_fig12_concurrent" \
     "$root/BENCH_wallclock.json")
 echo "==> [bench] service fairness + sharded-cache throughput gates"

@@ -9,6 +9,8 @@
  *   header-guard      .h guards are SEVF_<DIR>_<FILE>_H_
  *   include-path      quoted includes are project-relative ("base/status.h",
  *                     never "../x.h" or "status.h") and name real files
+ *   layer-include     service/ headers are included only from service/,
+ *                     core/ headers only from core/ and service/
  *   banned-construct  no throw, rand(), raw new[], and no std::cout
  *                     outside stats/ (tools/ is not linted) — the boot
  *                     path is exception-free and deterministic

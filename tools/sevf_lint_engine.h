@@ -19,13 +19,13 @@
  *                   (secret-returning and sink-forwarding functions,
  *                   both computed to a fixed point).
  *   Passes          per-file rules (header-guard, include-path,
- *                   banned-construct, cc-h-pairing, unguarded-result,
- *                   unused-suppression), the concurrency passes
- *                   (guarded-by, lock-order), the secret-flow pass
- *                   (intra- and interprocedural), and the root-of-trust
- *                   audit (TCB reachability/budget, banned constructs
- *                   and call cycles inside the closure, untrusted-input
- *                   bounds checking).
+ *                   layer-include, banned-construct, cc-h-pairing,
+ *                   unguarded-result, unused-suppression), the
+ *                   concurrency passes (guarded-by, lock-order), the
+ *                   secret-flow pass (intra- and interprocedural), and
+ *                   the root-of-trust audit (TCB reachability/budget,
+ *                   banned constructs and call cycles inside the
+ *                   closure, untrusted-input bounds checking).
  *
  * Canonical lock names are "<Struct>::<member>" (namespaces omitted,
  * nested/out-of-line struct names kept: "ThreadPool::Impl::mu"); the
@@ -3149,10 +3149,37 @@ quotedIncludes(const FileText &text)
     return out;
 }
 
+/**
+ * The top of the one-way layering docs/ARCHITECTURE.md promises: only
+ * service/ includes service/ headers, and only core/ and service/
+ * include core/ headers. Deliberately this narrow — the lower layers
+ * have sanctioned sideways includes (crypto -> taint/obs) that a full
+ * layer table would flag.
+ */
+inline bool
+reachesUpLayers(const std::string &rel, const std::string &inc)
+{
+    auto under = [](const std::string &path, const char *module) {
+        return path.rfind(module, 0) == 0;
+    };
+    if (under(inc, "service/")) {
+        return !under(rel, "service/");
+    }
+    if (under(inc, "core/")) {
+        return !under(rel, "core/") && !under(rel, "service/");
+    }
+    return false;
+}
+
 inline void
 checkIncludes(FileModel &fm, const fs::path &root)
 {
     for (const auto &[line, inc] : quotedIncludes(fm.text)) {
+        if (reachesUpLayers(fm.rel, inc)) {
+            reportTo(fm, line, "layer-include",
+                     "\"" + inc + "\" reaches up the layer stack from " +
+                         fm.rel + " (docs/ARCHITECTURE.md)");
+        }
         if (inc.find("..") != std::string::npos) {
             reportTo(fm, line, "include-path",
                      "\"" + inc + "\" uses a parent-relative path");
