@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "base/bytes.h"
+#include "base/trust_zones.h"
 
 namespace sevf::cache {
 
@@ -15,6 +16,27 @@ constexpr std::string_view kMagic = "SEVFTMP2";
 
 /** Whole-file integrity trailer: SHA-256 of everything before it. */
 constexpr u64 kTrailerSize = 32;
+
+/**
+ * Smallest encoding of one element of each counted list: the empty
+ * strings/byte runs still carry their length prefixes.
+ */
+constexpr u64 kMinRegionSize = 4 + 8 + 8 + 4; // name, gpa, bytes, count
+constexpr u64 kMinSegmentSize = 8 + 1 + 8;    // gpa, encrypted, bytes
+constexpr u64 kRangeSize = 8 + 8;             // begin, end
+constexpr u64 kMinStepSize = 1 + 8 + 3 * 4;   // kind, ns, three strings
+
+/**
+ * True when @p count elements of at least @p min_size bytes each fit in
+ * what is left of the body. The counts come from the file, and the
+ * trailer is a checksum, not a MAC: a count must be bounded before it
+ * sizes a reserve().
+ */
+bool
+countFits(const ByteReader &r, u32 count, u64 min_size)
+{
+    return static_cast<u64>(count) * min_size <= r.remaining();
+}
 
 void
 writeString32(ByteWriter &w, std::string_view s)
@@ -119,7 +141,7 @@ serializeTemplate(const LaunchTemplate &tmpl)
 }
 
 Result<LaunchTemplate>
-deserializeTemplate(ByteSpan data)
+deserializeTemplate(ByteSpan data) SEVF_UNTRUSTED_INPUT
 {
     if (data.size() < kMagic.size() + kTrailerSize) {
         return errCorrupted("template file: truncated");
@@ -150,6 +172,9 @@ deserializeTemplate(ByteSpan data)
     SEVF_ASSIGN_OR_RETURN(tmpl.verifier.pagetable_bytes, r.u64le());
 
     SEVF_ASSIGN_OR_RETURN(u32 plan_count, r.u32le());
+    if (!countFits(r, plan_count, kMinRegionSize)) {
+        return errCorrupted("template file: plan count past end");
+    }
     tmpl.plan.reserve(plan_count);
     for (u32 i = 0; i < plan_count; ++i) {
         TemplateRegion region;
@@ -159,7 +184,7 @@ deserializeTemplate(ByteSpan data)
         region.plaintext =
             std::make_shared<const ByteVec>(std::move(plaintext));
         SEVF_ASSIGN_OR_RETURN(u32 digests, r.u32le());
-        if (static_cast<u64>(digests) * 32 > r.remaining()) {
+        if (!countFits(r, digests, 32)) {
             return errCorrupted("template file: digest count past end");
         }
         region.page_digests.reserve(digests);
@@ -172,6 +197,9 @@ deserializeTemplate(ByteSpan data)
 
     SEVF_ASSIGN_OR_RETURN(tmpl.snapshot.memory_size, r.u64le());
     SEVF_ASSIGN_OR_RETURN(u32 seg_count, r.u32le());
+    if (!countFits(r, seg_count, kMinSegmentSize)) {
+        return errCorrupted("template file: segment count past end");
+    }
     tmpl.snapshot.segments.reserve(seg_count);
     for (u32 i = 0; i < seg_count; ++i) {
         memory::SnapshotSegment seg;
@@ -183,6 +211,9 @@ deserializeTemplate(ByteSpan data)
         tmpl.snapshot.segments.push_back(std::move(seg));
     }
     SEVF_ASSIGN_OR_RETURN(u32 range_count, r.u32le());
+    if (!countFits(r, range_count, kRangeSize)) {
+        return errCorrupted("template file: range count past end");
+    }
     tmpl.snapshot.validated.reserve(range_count);
     for (u32 i = 0; i < range_count; ++i) {
         memory::GpaRange range;
@@ -192,6 +223,9 @@ deserializeTemplate(ByteSpan data)
     }
 
     SEVF_ASSIGN_OR_RETURN(u32 step_count, r.u32le());
+    if (!countFits(r, step_count, kMinStepSize)) {
+        return errCorrupted("template file: step count past end");
+    }
     tmpl.steps.reserve(step_count);
     for (u32 i = 0; i < step_count; ++i) {
         sim::Step step;

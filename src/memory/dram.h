@@ -9,6 +9,10 @@
  * first touch; DramBuffer does the same, with a ByteVec fallback on
  * platforms without mmap. Reads of never-written pages hit the shared
  * zero page and allocate nothing.
+ *
+ * Both backings start all zero, which is what GuestMemory's
+ * written-page map relies on: a page it never marked is skipped by
+ * template capture without being read, because it must still be zero.
  */
 #ifndef SEVF_MEMORY_DRAM_H_
 #define SEVF_MEMORY_DRAM_H_

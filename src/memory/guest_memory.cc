@@ -1,6 +1,7 @@
 #include "memory/guest_memory.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "base/logging.h"
@@ -48,7 +49,8 @@ GuestMemory::GuestMemory(u64 size, Spa spa_base, u32 asid, SevMode mode)
       asid_(asid),
       mode_(asid == 0 ? SevMode::kNone : mode),
       rmp_(spa_base, pagesFor(size)),
-      page_labels_(pagesFor(size), taint::kNone)
+      page_labels_(pagesFor(size), taint::kNone),
+      written_((pagesFor(size) + 63) / 64, 0)
 {
     SEVF_CHECK(size % kPageSize == 0);
     SEVF_CHECK(spa_base % kPageSize == 0);
@@ -73,6 +75,28 @@ GuestMemory::joinPageLabels(Gpa gpa, u64 len, taint::TaintSet labels)
          ++page) {
         page_labels_[page] |= labels;
     }
+}
+
+void
+GuestMemory::markWritten(Gpa gpa, u64 len)
+{
+    if (len == 0) {
+        return;
+    }
+    for (u64 page = gpa / kPageSize; page <= (gpa + len - 1) / kPageSize;
+         ++page) {
+        written_[page / 64] |= u64{1} << (page % 64);
+    }
+}
+
+u64
+GuestMemory::writtenPageCount() const
+{
+    u64 count = 0;
+    for (u64 word : written_) {
+        count += static_cast<u64>(std::popcount(word));
+    }
+    return count;
 }
 
 void
@@ -147,6 +171,8 @@ GuestMemory::mapCowPages(Gpa gpa, std::shared_ptr<const ByteVec> data,
             static_cast<u32>(std::min<u64>(kPageSize, data->size() - off));
         cow_[gpa / kPageSize + i] = CowSource{data, off, take, encrypted};
     }
+    // Marked now, at map time: materializePage stays a pure cache fill.
+    markWritten(gpa, pages * kPageSize);
     if (obs::metricsEnabled()) {
         static obs::Counter &mapped = obs::Registry::instance().counter(
             "sevf_cow_pages_mapped_total",
@@ -160,7 +186,7 @@ Result<MemorySnapshot>
 GuestMemory::captureSnapshot(const std::vector<GpaRange> &exclude) const
 {
     SEVF_SPAN("guest_memory.capture_snapshot", "bytes",
-              static_cast<u64>(bytes_.size()));
+              writtenPageCount() * kPageSize);
     materializeAll();
     MemorySnapshot snap;
     snap.memory_size = bytes_.size();
@@ -187,8 +213,13 @@ GuestMemory::captureSnapshot(const std::vector<GpaRange> &exclude) const
             continue;
         }
         // Fresh guest memory is zero-filled, so all-zero shared pages
-        // reproduce themselves for free. memcmp against a zero page
-        // vectorizes; a byte loop here dominated capture time.
+        // reproduce themselves for free. A page no write path ever
+        // marked is still zero and is skipped unread: reading it would
+        // fault in the kernel's zero page for nothing. A marked page
+        // may still be all zero, so it keeps the memcmp test.
+        if (!pageWritten(gpa)) {
+            continue;
+        }
         static const u8 kZeroPage[kPageSize] = {};
         bool zero =
             std::memcmp(bytes_.data() + gpa, kZeroPage, kPageSize) == 0;
@@ -329,6 +360,7 @@ GuestMemory::hostWrite(Gpa gpa, ByteSpan data)
     // same at any thread count.
     if (!data.empty()) {
         materializeRange(gpa, data.size());
+        markWritten(gpa, data.size());
         const u64 len = data.size();
         base::parallelFor(0, pagesFor(len), 64, [&](u64 lo, u64 hi) {
             u64 off_lo = lo * kPageSize;
@@ -353,8 +385,9 @@ GuestMemory::hostWriteUnchecked(Gpa gpa, ByteSpan data)
 {
     // Deliberately NOT a taint sink: this models a physical attacker
     // corrupting DRAM, not our software leaking secrets.
-    SEVF_CHECK(gpa + data.size() <= bytes_.size());
+    SEVF_CHECK(gpa <= bytes_.size() && data.size() <= bytes_.size() - gpa);
     materializeRange(gpa, data.size());
+    markWritten(gpa, data.size());
     std::copy(data.begin(), data.end(), bytes_.begin() + gpa);
 }
 
@@ -374,6 +407,7 @@ GuestMemory::guestWrite(Gpa gpa, ByteSpan data, bool c_bit)
         // exactly the leak SEV exists to prevent — guard it.
         taint::guardSink(taint::Sink::kSharedPageWrite, data,
                          "GuestMemory::guestWrite with C-bit clear");
+        markWritten(gpa, data.size());
         std::copy(data.begin(), data.end(), bytes_.begin() + gpa);
         return Status::ok();
     }
@@ -407,6 +441,7 @@ GuestMemory::guestWrite(Gpa gpa, ByteSpan data, bool c_bit)
     std::copy(data.begin(), data.end(),
               scratch.begin() + (gpa - line_start));
     engine_->encrypt(scratch, spa_base_ + line_start);
+    markWritten(gpa, data.size());
     std::copy(scratch.begin(), scratch.end(), bytes_.begin() + line_start);
     return Status::ok();
 }
@@ -466,6 +501,7 @@ GuestMemory::pspEncryptInPlace(Gpa gpa, u64 len)
     // become guest-owned: label them, and let the engine clear any
     // byte-range labels (the DRAM now holds public ciphertext).
     joinPageLabels(gpa, whole, taint::kGuestData);
+    markWritten(gpa, whole);
     MutByteSpan region(bytes_.data() + gpa, whole);
     engine_->encrypt(region, spa_base_ + gpa);
     if (integrityEnforced()) {

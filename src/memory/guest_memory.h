@@ -8,6 +8,11 @@
  * host write to a guest-owned page is blocked by the RMP). Guest
  * accessors take the C-bit, which routes them through the encryption
  * engine exactly like the hardware's address-translation path (§2.4).
+ *
+ * A bit-packed written-page map records every page a store path may
+ * have made non-zero (host writes, guest writes, PSP pre-encryption,
+ * copy-on-write mappings). Invariant: a clear bit means the page is
+ * still all zero, so template capture skips it without reading it.
  */
 #ifndef SEVF_MEMORY_GUEST_MEMORY_H_
 #define SEVF_MEMORY_GUEST_MEMORY_H_
@@ -187,9 +192,11 @@ class GuestMemory
     /**
      * Capture the current memory image for the template cache. Pages
      * inside @p exclude are skipped (per-launch state: the plan regions
-     * the warm path re-stages, the VMSAs). Fails with kUnsupported if
-     * any capturable page carries labels beyond taint::kGuestData —
-     * provisioned secrets must never enter a cross-launch cache.
+     * the warm path re-stages, the VMSAs), and so are unlabelled pages
+     * the written-page map shows were never stored to. Fails with
+     * kUnsupported if any capturable page carries labels beyond
+     * taint::kGuestData — provisioned secrets must never enter a
+     * cross-launch cache.
      */
     Result<MemorySnapshot> captureSnapshot(
         const std::vector<GpaRange> &exclude) const;
@@ -217,6 +224,18 @@ class GuestMemory
     /** Join @p labels onto every page overlapping [gpa, gpa+len). */
     void joinPageLabels(Gpa gpa, u64 len, taint::TaintSet labels);
 
+    /**
+     * Whether a store path has marked the page containing @p gpa in
+     * the written-page map. False guarantees the page is all zero;
+     * true does not guarantee it is not.
+     */
+    bool pageWritten(Gpa gpa) const
+    {
+        u64 page = gpa / kPageSize;
+        return page / 64 < written_.size() &&
+               ((written_[page / 64] >> (page % 64)) & 1) != 0;
+    }
+
   private:
     /** Backing for one copy-on-write page (a window into shared bytes). */
     struct CowSource {
@@ -229,6 +248,13 @@ class GuestMemory
     Status checkRange(Gpa gpa, u64 len) const;
     /** RMP guest-access check for every page the range touches. */
     Status checkGuestRange(Gpa gpa, u64 len) const;
+    /**
+     * Set the written bit of every page overlapping [gpa, gpa+len).
+     * Every path that stores into DRAM calls this (mapCowPages for the
+     * pages that materialize later); the range is already checked.
+     */
+    void markWritten(Gpa gpa, u64 len);
+    u64 writtenPageCount() const;
     /** Copy (and for encrypted views, encrypt) one CoW page into DRAM. */
     void materializePage(u64 page) const;
     /** Materialize every CoW page overlapping [gpa, gpa+len). */
@@ -255,6 +281,12 @@ class GuestMemory
     std::unique_ptr<crypto::XexCipher> engine_;
     /** Per-page taint shadow (see pageLabel()). */
     std::vector<taint::TaintSet> page_labels_;
+    /**
+     * Written-page map, one bit per page (8 KiB for a 256 MiB guest).
+     * Clear bit => page still all zero: DramBuffer hands out zeroed
+     * memory and only the marking paths store into it.
+     */
+    std::vector<u64> written_;
 };
 
 } // namespace sevf::memory

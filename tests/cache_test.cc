@@ -2,20 +2,30 @@
  * @file
  * Launch-template cache tests: key derivation, LRU-by-bytes eviction,
  * single-flight build dedup, disk persistence, copy-on-write
- * instantiation, and the core invariant - a cache hit is bit-identical
- * to the cold boot it replaces.
+ * instantiation, template capture against a reference built from the
+ * raw guest image, and the core invariant - a cache hit is
+ * bit-identical to the cold boot it replaces.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <thread>
 
+#include "base/bytes.h"
+#include "base/rng.h"
 #include "cache/launch_key.h"
 #include "cache/template_cache.h"
+#include "cache/template_io.h"
 #include "core/launch.h"
+#include "crypto/sha256.h"
+#include "crypto/xex.h"
 #include "memory/guest_memory.h"
+#include "vmm/microvm.h"
 #include "workload/synthetic.h"
 
 namespace sevf {
@@ -611,6 +621,285 @@ TEST_F(DiskCacheTest, TornEntryIsCountedRepairedAndRecovered)
     EXPECT_TRUE(warm->cache_hit);
     EXPECT_EQ(warm->measurement, cold_measurement);
     EXPECT_EQ(platform.templateCache().stats().disk_errors, 0u);
+}
+
+// ===================================================================
+// Untrusted element counts in the file format
+// ===================================================================
+
+/**
+ * A serialized template with one empty plan region and nothing else:
+ * every counted list is small, so each count's offset is fixed. Body
+ * layout: magic 8, measurement 32, pre-encrypted bytes 8, tail flag 1,
+ * verifier stats 32, plan count 4, region (name length 4, gpa 8, bytes
+ * length 8, digest count 4), memory size 8, segment count 4, range
+ * count 4, step count 4; then the 32-byte SHA-256 trailer.
+ */
+ByteVec
+minimalTemplateFile()
+{
+    cache::LaunchTemplate tmpl;
+    tmpl.plan.push_back(cache::TemplateRegion{});
+    return cache::serializeTemplate(tmpl);
+}
+
+constexpr u64 kMinimalBodySize = 129;
+constexpr std::pair<const char *, u64> kCountOffsets[] = {
+    {"plan", 81}, {"digest", 105}, {"segment", 117},
+    {"range", 121}, {"step", 125},
+};
+
+/** Overwrite the u32 at @p offset and re-seal the trailer. */
+ByteVec
+withCount(ByteVec file, u64 offset, u32 count)
+{
+    std::memcpy(file.data() + offset, &count, sizeof count);
+    u64 body = file.size() - 32;
+    crypto::Sha256Digest d =
+        crypto::Sha256::digest(ByteSpan(file.data(), body));
+    std::copy(d.begin(), d.end(), file.begin() + body);
+    return file;
+}
+
+TEST(TemplateIoTest, HugeCountsAreTypedCorruption)
+{
+    ByteVec file = minimalTemplateFile();
+    ASSERT_EQ(file.size(), kMinimalBodySize + 32) << "layout changed";
+    ASSERT_TRUE(cache::deserializeTemplate(file).isOk());
+    for (const auto &[name, offset] : kCountOffsets) {
+        SCOPED_TRACE(name);
+        Result<cache::LaunchTemplate> loaded = cache::deserializeTemplate(
+            withCount(file, offset, 0xFFFFFFFFu));
+        ASSERT_FALSE(loaded.isOk());
+        EXPECT_EQ(loaded.status().code(), ErrorCode::kCorrupted)
+            << loaded.status().toString();
+    }
+}
+
+TEST_F(DiskCacheTest, HugeCountFileIsAColdMiss)
+{
+    cache::LaunchKey key = syntheticKey(7);
+    {
+        cache::TemplateCache writer;
+        writer.setDiskDir(dir_.string());
+        writer.publish(key, syntheticTemplate(kPageSize));
+    }
+    std::filesystem::path stored;
+    for (const auto &entry : std::filesystem::directory_iterator(dir_)) {
+        stored = entry.path();
+    }
+    ASSERT_FALSE(stored.empty());
+
+    for (const auto &[name, offset] : kCountOffsets) {
+        SCOPED_TRACE(name);
+        ByteVec crafted =
+            withCount(minimalTemplateFile(), offset, 0xFFFFFFFFu);
+        {
+            std::ofstream out(stored, std::ios::binary | std::ios::trunc);
+            out.write(reinterpret_cast<const char *>(crafted.data()),
+                      static_cast<std::streamsize>(crafted.size()));
+        }
+        cache::TemplateCache reader;
+        reader.setDiskDir(dir_.string());
+        cache::TemplateCache::Lookup lookup = reader.beginLookup(key);
+        EXPECT_EQ(lookup.tmpl, nullptr);
+        EXPECT_TRUE(lookup.claimed) << "the caller must build cold";
+        EXPECT_EQ(reader.stats().misses, 1u);
+        reader.abandon(key);
+    }
+}
+
+// ===================================================================
+// Template capture against a reference image
+// ===================================================================
+
+/**
+ * Check @p snap against a reference built from the raw guest image:
+ * every labelled page appears as its plaintext in an encrypted
+ * segment, every other non-zero page byte-identical in a shared
+ * segment, and nothing else. Also checks the written-page map's
+ * invariant: a page holding any non-zero byte is marked written.
+ */
+void
+expectCaptureMatchesReference(const memory::GuestMemory &mem,
+                              const memory::MemorySnapshot &snap)
+{
+    ASSERT_EQ(snap.memory_size, mem.size());
+    struct Captured {
+        bool encrypted;
+        const u8 *bytes;
+    };
+    std::map<u64, Captured> captured;
+    for (const memory::SnapshotSegment &seg : snap.segments) {
+        ASSERT_EQ(seg.gpa % kPageSize, 0u);
+        ASSERT_NE(seg.bytes, nullptr);
+        ASSERT_EQ(seg.bytes->size() % kPageSize, 0u);
+        for (u64 off = 0; off < seg.bytes->size(); off += kPageSize) {
+            bool fresh =
+                captured
+                    .emplace((seg.gpa + off) / kPageSize,
+                             Captured{seg.encrypted,
+                                      seg.bytes->data() + off})
+                    .second;
+            ASSERT_TRUE(fresh) << "page captured twice at " << seg.gpa + off;
+        }
+    }
+
+    static const ByteVec kZeroPage(kPageSize, 0);
+    ByteSpan raw = mem.raw();
+    u64 expected = 0;
+    for (Gpa gpa = 0; gpa < mem.size(); gpa += kPageSize) {
+        const u8 *page = raw.data() + gpa;
+        bool zero = std::memcmp(page, kZeroPage.data(), kPageSize) == 0;
+        ASSERT_TRUE(zero || mem.pageWritten(gpa))
+            << "non-zero page not in the written map at " << gpa;
+        auto it = captured.find(gpa / kPageSize);
+        if (mem.pageLabel(gpa) != taint::kNone) {
+            ++expected;
+            ASSERT_NE(it, captured.end()) << "labelled page missing at "
+                                          << gpa;
+            ASSERT_TRUE(it->second.encrypted) << gpa;
+            Result<ByteVec> plain = mem.guestRead(gpa, kPageSize, true);
+            ASSERT_TRUE(plain.isOk()) << plain.status().toString();
+            ASSERT_EQ(std::memcmp(plain->data(), it->second.bytes,
+                                  kPageSize),
+                      0)
+                << "encrypted segment is not the plaintext at " << gpa;
+        } else if (!zero) {
+            ++expected;
+            ASSERT_NE(it, captured.end()) << "non-zero page missing at "
+                                          << gpa;
+            ASSERT_FALSE(it->second.encrypted) << gpa;
+            ASSERT_EQ(std::memcmp(page, it->second.bytes, kPageSize), 0)
+                << "shared segment differs from DRAM at " << gpa;
+        } else {
+            ASSERT_EQ(it, captured.end()) << "zero page captured at " << gpa;
+        }
+    }
+    EXPECT_EQ(captured.size(), expected);
+}
+
+TEST(CaptureOracleTest, ColdLaunchCaptureMatchesReferenceForEveryStrategy)
+{
+    constexpr core::StrategyKind kKinds[] = {
+        core::StrategyKind::kStockFirecracker,
+        core::StrategyKind::kQemuOvmfSev,
+        core::StrategyKind::kSevDirectBoot,
+        core::StrategyKind::kSeveriFastBz,
+        core::StrategyKind::kSeveriFastVmlinux,
+    };
+    for (core::StrategyKind kind : kKinds) {
+        SCOPED_TRACE(core::strategyName(kind));
+        core::Platform platform(sim::CostParams::deterministic());
+        core::LaunchRequest req = smallRequest();
+        req.use_template_cache = false;
+        req.keep_vm = true;
+        Result<core::LaunchResult> cold =
+            core::makeStrategy(kind)->launch(platform, req);
+        ASSERT_TRUE(cold.isOk()) << cold.status().toString();
+        ASSERT_NE(cold->vm, nullptr);
+        const memory::GuestMemory &mem = cold->vm->memory();
+        Result<memory::MemorySnapshot> snap = mem.captureSnapshot({});
+        ASSERT_TRUE(snap.isOk()) << snap.status().toString();
+        ASSERT_FALSE(snap->segments.empty());
+        expectCaptureMatchesReference(mem, *snap);
+    }
+}
+
+/** A small SEV-SNP guest with its encryption context attached. */
+class CaptureTest : public ::testing::Test
+{
+  protected:
+    static constexpr u32 kAsid = 5;
+    static constexpr u64 kPages = 16;
+
+    static std::unique_ptr<memory::GuestMemory>
+    makeMemory(u64 key_seed)
+    {
+        auto mem = std::make_unique<memory::GuestMemory>(
+            kPages * kPageSize, 0x100000000ull, kAsid);
+        Rng rng(key_seed);
+        crypto::Aes128Key key, tweak;
+        rng.fill(key);
+        rng.fill(tweak);
+        mem->attachEncryption(std::make_unique<crypto::XexCipher>(key, tweak));
+        return mem;
+    }
+
+    Result<memory::MemorySnapshot> capture() const
+    {
+        return mem_->captureSnapshot({});
+    }
+
+    std::unique_ptr<memory::GuestMemory> mem_ = makeMemory(99);
+};
+
+TEST_F(CaptureTest, EachStorePathOnAnUntouchedPageIsCaptured)
+{
+    ByteVec data(100, 0x5c);
+    mem_->hostWriteUnchecked(3 * kPageSize + 8, data);
+    ASSERT_TRUE(mem_->guestWrite(6 * kPageSize + 40, data, false).isOk());
+    ASSERT_TRUE(mem_->pspEncryptInPlace(9 * kPageSize, kPageSize).isOk());
+
+    Result<memory::MemorySnapshot> snap = capture();
+    ASSERT_TRUE(snap.isOk()) << snap.status().toString();
+    ASSERT_EQ(snap->segments.size(), 3u);
+    EXPECT_EQ(snap->segments[0].gpa, 3 * kPageSize);
+    EXPECT_FALSE(snap->segments[0].encrypted);
+    EXPECT_EQ((*snap->segments[0].bytes)[8], 0x5c);
+    EXPECT_EQ(snap->segments[1].gpa, 6 * kPageSize);
+    EXPECT_FALSE(snap->segments[1].encrypted);
+    EXPECT_EQ((*snap->segments[1].bytes)[40], 0x5c);
+    EXPECT_EQ(snap->segments[2].gpa, 9 * kPageSize);
+    EXPECT_TRUE(snap->segments[2].encrypted);
+    expectCaptureMatchesReference(*mem_, *snap);
+}
+
+TEST_F(CaptureTest, AllZeroWriteYieldsNoSegment)
+{
+    ByteVec zeros(2 * kPageSize, 0);
+    ASSERT_TRUE(mem_->hostWrite(2 * kPageSize, zeros).isOk());
+    ASSERT_TRUE(mem_->guestWrite(7 * kPageSize, zeros, false).isOk());
+    EXPECT_TRUE(mem_->pageWritten(2 * kPageSize));
+    EXPECT_TRUE(mem_->pageWritten(7 * kPageSize));
+    EXPECT_FALSE(mem_->pageWritten(0));
+
+    Result<memory::MemorySnapshot> snap = capture();
+    ASSERT_TRUE(snap.isOk()) << snap.status().toString();
+    EXPECT_TRUE(snap->segments.empty())
+        << "a written page that is still zero reproduces itself";
+}
+
+TEST_F(CaptureTest, CopyOnWriteViewCapturedAgainRoundTrips)
+{
+    ByteVec shared(kPageSize + 300, 0x21);
+    ASSERT_TRUE(mem_->hostWrite(1 * kPageSize, shared).isOk());
+    ByteVec priv(2 * kPageSize, 0x42);
+    ASSERT_TRUE(mem_->hostWrite(8 * kPageSize, priv).isOk());
+    ASSERT_TRUE(mem_->pspEncryptInPlace(8 * kPageSize, priv.size()).isOk());
+    Result<memory::MemorySnapshot> first = capture();
+    ASSERT_TRUE(first.isOk()) << first.status().toString();
+    ASSERT_EQ(first->segments.size(), 2u);
+
+    // A fresh VM with a different key: the view re-encrypts on touch.
+    std::unique_ptr<memory::GuestMemory> copy = makeMemory(7);
+    ASSERT_TRUE(copy->instantiateSnapshot(*first).isOk());
+    Result<memory::MemorySnapshot> second = copy->captureSnapshot({});
+    ASSERT_TRUE(second.isOk()) << second.status().toString();
+    expectCaptureMatchesReference(*copy, *second);
+    ASSERT_EQ(second->segments.size(), first->segments.size());
+    for (std::size_t i = 0; i < first->segments.size(); ++i) {
+        SCOPED_TRACE(i);
+        EXPECT_EQ(second->segments[i].gpa, first->segments[i].gpa);
+        EXPECT_EQ(second->segments[i].encrypted,
+                  first->segments[i].encrypted);
+        EXPECT_EQ(*second->segments[i].bytes, *first->segments[i].bytes);
+    }
+    ASSERT_EQ(second->validated.size(), first->validated.size());
+    for (std::size_t i = 0; i < first->validated.size(); ++i) {
+        EXPECT_EQ(second->validated[i].begin, first->validated[i].begin);
+        EXPECT_EQ(second->validated[i].end, first->validated[i].end);
+    }
 }
 
 // ===================================================================

@@ -289,6 +289,19 @@ TEST_F(GuestMemoryTest, HostWriteUncheckedCorruptsButGuestSeesGarbage)
               ByteVec(data.begin(), data.begin() + 16));
 }
 
+using GuestMemoryDeathTest = GuestMemoryTest;
+
+TEST_F(GuestMemoryDeathTest, HostWriteUncheckedRejectsWrappingRange)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    ByteVec data(32, 0xee);
+    // gpa + size wraps past 2^64 to a small value: the bound must not.
+    Gpa wrapping = ~Gpa{0} - 15;
+    EXPECT_DEATH(mem_.hostWriteUnchecked(wrapping, data), "check failed");
+    EXPECT_DEATH(mem_.hostWriteUnchecked(mem_.size() - 16, data),
+                 "check failed");
+}
+
 
 TEST_F(GuestMemoryTest, SingleLinePartialEncryptedWritePreservesTail)
 {

@@ -139,6 +139,14 @@ echo "==> [model] seeded mutants must be caught"
 #    strategies, bench_fig12_concurrent asserts the launch service's
 #    aggregate-throughput gain over sequential cold boots.
 bench="$root/build-ci-werror/bench/bench_wallclock"
+# The launch benchmark's own statistics (schedules, tail rule, window
+# selection, reference-speed scaling): pure-Python unit tests, < 1 s.
+if command -v python3 >/dev/null 2>&1; then
+    echo "==> [bench] perfbench unit tests"
+    (cd "$root" && python3 -m unittest discover -s perfbench -p 'test_*.py')
+else
+    echo "==> [bench] perfbench unit tests SKIPPED: python3 not found"
+fi
 echo "==> [bench] $bench BENCH_wallclock.json"
 (cd "$root" && "$bench" "$root/BENCH_wallclock.json")
 echo "==> [bench] cache hit/miss (bit-identity gate)"
