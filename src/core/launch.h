@@ -27,12 +27,6 @@
 namespace sevf::vmm {
 class MicroVm;
 }
-namespace sevf::attest {
-struct PreEncryptedRegion;
-}
-namespace sevf::cache {
-struct LaunchTemplate;
-}
 
 #include "base/mutex.h"
 #include "base/thread_annotations.h"
@@ -195,68 +189,50 @@ class LaunchTicket
     std::optional<Result<LaunchResult>> result_ SEVF_GUARDED_BY(mu_);
 };
 
-class TraceBuilder;
+/**
+ * Reject a request no strategy can launch, before any work runs:
+ * kInvalidArgument when scale is outside (0, 1], or when verifier_size
+ * is neither 0 (the default verifier) nor in [22, 0x1F0000] - at least
+ * the verifier banner, and small enough to end below the page tables
+ * (vmm/layout.h).
+ */
+Status validateLaunchRequest(const LaunchRequest &request);
 
 /**
- * A boot scheme. One instance serves one launch at a time: launch()
- * keeps per-launch template-capture state in the strategy object, so
- * concurrent launches must each use their own instance (the launch
- * service constructs one per request).
+ * A boot scheme. Stateless: the object holds only its kind, and every
+ * per-launch value (trace, VM, template-build claim) lives on the
+ * stack of launch(), so one instance may serve any number of
+ * concurrent launches.
+ *
+ * All five schemes share one launch skeleton. A kind-specific cold body
+ * runs the host and pre-Linux guest work up to the template point -
+ * the instant where staging, pre-encryption, measurement, verifier, and
+ * bootstrap are done and only the guest boot tail remains. launch()
+ * then captures the template (if it won the single-flight build) and
+ * runs the one finish step (Linux boot, optional attestation) that
+ * warm launches from a cached template share.
  */
-class BootStrategy
+class BootStrategy final
 {
   public:
-    virtual ~BootStrategy() = default;
+    explicit BootStrategy(StrategyKind kind) : kind_(kind) {}
 
-    BootStrategy() = default;
-    BootStrategy(const BootStrategy &) = delete;
-    BootStrategy &operator=(const BootStrategy &) = delete;
-
-    virtual StrategyKind kind() const = 0;
-    std::string_view name() const { return strategyName(kind()); }
+    StrategyKind kind() const { return kind_; }
+    std::string_view name() const { return strategyName(kind_); }
 
     /**
-     * Run one boot. Installs the effective host-thread count (request
-     * knob, falling back to the platform knob) for the duration of the
-     * launch, consults the platform's template cache (warm boot on a
-     * hit, single-flight template capture on a miss), then runs the
-     * strategy cold if no usable template exists.
+     * Run one boot. Validates the request, installs the effective
+     * host-thread count (request knob, falling back to the platform
+     * knob) for the duration of the launch, consults the platform's
+     * template cache (warm boot on a hit, single-flight template
+     * capture on a miss), then runs the strategy cold if no usable
+     * template exists.
      */
     Result<LaunchResult> launch(Platform &platform,
-                                const LaunchRequest &request);
-
-  protected:
-    /** Strategy body; runs with the host-thread knob already set. */
-    virtual Result<LaunchResult> doLaunch(Platform &platform,
-                                          const LaunchRequest &request) = 0;
-
-    /**
-     * Capture hook, called by each strategy at the template point: the
-     * instant where all host-side launch work (staging, pre-encryption,
-     * measurement, verifier, bootstrap) is done and only the guest boot
-     * tail remains. No-op unless launch() claimed a single-flight
-     * template build for this launch. @p tail_in_steps marks strategies
-     * whose trace already includes the tail at the capture point (the
-     * non-SEV baseline); warm boots then skip the live tail.
-     */
-    void maybeCaptureTemplate(
-        const LaunchRequest &request, vmm::MicroVm &vm,
-        const TraceBuilder &tb,
-        const std::vector<attest::PreEncryptedRegion> &plan,
-        const LaunchResult &result, bool tail_in_steps);
+                                const LaunchRequest &request) const;
 
   private:
-    /** Warm boot from a cached template (strategies.cc). */
-    Result<LaunchResult> launchFromTemplate(Platform &platform,
-                                            const LaunchRequest &request,
-                                            const cache::LaunchTemplate &t);
-
-    /** Single-flight build claim for the launch currently running. */
-    struct TemplateClaim {
-        bool armed = false;
-        std::shared_ptr<cache::LaunchTemplate> built;
-    };
-    TemplateClaim claim_;
+    StrategyKind kind_;
 };
 
 /**

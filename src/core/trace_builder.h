@@ -7,8 +7,8 @@
  * charged step is reported to obs (span trace + per-kind/per-phase
  * metrics) with its virtual start time, so a Chrome trace of a launch
  * shows the exact step sequence the BootTrace records. Each builder
- * draws a fresh obs launch id at construction; strategies create one
- * builder per launch, so launch == builder here.
+ * draws a fresh obs launch id at construction; BootStrategy::launch
+ * creates one builder per launch, so launch == builder here.
  */
 #ifndef SEVF_CORE_TRACE_BUILDER_H_
 #define SEVF_CORE_TRACE_BUILDER_H_

@@ -316,12 +316,10 @@ LaunchService::workerLoop()
                 .observe(obs::wallNowNs() - job.submit_ns);
         }
 
-        // One strategy instance per launch: the template-capture state
-        // inside BootStrategy is per-launch (core/launch.h).
-        std::unique_ptr<core::BootStrategy> strategy =
-            core::makeStrategy(job.kind);
+        // Strategies are stateless (core/launch.h): a temporary per job
+        // costs nothing and shares no state with other workers.
         Result<core::LaunchResult> result =
-            strategy->launch(platform_, job.request);
+            core::BootStrategy(job.kind).launch(platform_, job.request);
 
         bool ok = result.isOk();
         // Count completion BEFORE resolving the ticket (a consumer that

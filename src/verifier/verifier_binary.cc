@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "base/logging.h"
 #include "base/rng.h"
 
 namespace sevf::verifier {
@@ -11,10 +12,12 @@ namespace {
 ByteVec
 makeImage(u64 size, u64 seed)
 {
+    static constexpr char kBanner[] = "SEVF-BOOT-VERIFIER v1";
+    static_assert(sizeof(kBanner) == kMinVerifierBinarySize);
+    SEVF_CHECK(size >= sizeof(kBanner));
     ByteVec image(size);
     Rng rng(seed);
     rng.fill(image);
-    static constexpr char kBanner[] = "SEVF-BOOT-VERIFIER v1";
     std::memcpy(image.data(), kBanner, sizeof(kBanner));
     return image;
 }

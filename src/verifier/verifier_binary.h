@@ -20,6 +20,10 @@ namespace sevf::verifier {
 /** The verifier image size (~13 KiB, §4.1). */
 inline constexpr u64 kVerifierBinarySize = 13 * kKiB;
 
+/** The smallest image: it must hold the 22-byte banner the image
+ *  starts with. */
+inline constexpr u64 kMinVerifierBinarySize = 22;
+
 /** Deterministic verifier image ("the bytes the PSP measures"). */
 const ByteVec &verifierBinary();
 
@@ -27,6 +31,7 @@ const ByteVec &verifierBinary();
  * A bloated verifier variant for ablation studies: the td-shim-style
  * featureful shim the related-work section warns about (allocator, ACPI
  * tables, event log => bigger binary => longer pre-encryption).
+ * @p size must be at least kMinVerifierBinarySize.
  */
 ByteVec bloatedVerifierBinary(u64 size);
 

@@ -8,7 +8,7 @@
  * segments placed, structures generated, enter at the 64-bit entry
  * point, §2.1) and measured-direct-boot staging for the SEV paths
  * (components into shared windows, Fig 2 step 3). SEV launch policy
- * lives in core/ (the BootStrategy implementations); this class is the
+ * lives in core/ (the BootStrategy cold bodies); this class is the
  * mechanism they drive.
  */
 #ifndef SEVF_VMM_MICROVM_H_

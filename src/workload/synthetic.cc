@@ -1,6 +1,5 @@
 #include "workload/synthetic.h"
 
-#include <cmath>
 #include <cstdio>
 #include <iterator>
 #include <map>
@@ -148,10 +147,10 @@ buildKernelArtifacts(const KernelSpec &spec, u64 seed, double scale)
 
 namespace {
 
-/** Memoized kernel artifacts keyed by (config, rounded scale). */
+/** Memoized kernel artifacts keyed by (config, exact scale). */
 struct KernelArtifactCache {
     base::Mutex mu;
-    std::map<std::pair<int, long>, KernelArtifacts> entries
+    std::map<std::pair<int, double>, KernelArtifacts> entries
         SEVF_GUARDED_BY(mu);
 };
 
@@ -169,8 +168,9 @@ cachedKernelArtifacts(KernelConfig config, double scale)
 {
     KernelArtifactCache &cache = kernelArtifactCache();
     base::MutexLock lock(cache.mu);
-    auto key = std::make_pair(static_cast<int>(config),
-                              std::lround(scale * 1e6));
+    // Exact key: nearby scales build different artifacts, so they must
+    // not share an entry.
+    auto key = std::make_pair(static_cast<int>(config), scale);
     auto it = cache.entries.find(key);
     if (it == cache.entries.end()) {
         const KernelSpec &spec = kernelSpec(config);
@@ -256,10 +256,10 @@ syntheticInitrd(u64 uncompressed_size, u64 seed)
 
 namespace {
 
-/** Memoized synthetic initrds keyed by rounded scale. */
+/** Memoized synthetic initrds keyed by exact scale. */
 struct InitrdCache {
     base::Mutex mu;
-    std::map<long, ByteVec> entries SEVF_GUARDED_BY(mu);
+    std::map<double, ByteVec> entries SEVF_GUARDED_BY(mu);
 };
 
 InitrdCache &
@@ -276,12 +276,12 @@ cachedInitrd(double scale)
 {
     InitrdCache &cache = initrdCache();
     base::MutexLock lock(cache.mu);
-    long key = std::lround(scale * 1e6);
-    auto it = cache.entries.find(key);
+    auto it = cache.entries.find(scale);
     if (it == cache.entries.end()) {
         u64 size = static_cast<u64>(
             static_cast<double>(kInitrdUncompressedSize) * scale);
-        it = cache.entries.emplace(key, syntheticInitrd(size, 0x1217d)).first;
+        it = cache.entries.emplace(scale, syntheticInitrd(size, 0x1217d))
+                 .first;
     }
     return it->second;
 }

@@ -179,6 +179,7 @@ TEST(BootCli, RejectsMalformedNumbers)
           "--verifier-size=4k", "--cache-bytes=1GiB",
           "--retry-base-us=abc",
           "--scale=huge", "--scale=-0.5", "--scale=1.5", "--scale=nan",
+          "--scale=0",
           "--retry-jitter=2", "--retry-jitter=-0.1"}) {
         Result<BootOptions> parsed = parseBootArgs({arg});
         EXPECT_FALSE(parsed.isOk()) << arg << " should be rejected";
@@ -210,6 +211,17 @@ TEST(BootCli, AcceptsBoundaryNumbers)
     ASSERT_TRUE(edges.isOk());
     EXPECT_DOUBLE_EQ(edges->retry.jitter, 1.0);
     EXPECT_DOUBLE_EQ(edges->request.scale, 1.0);
+
+    // --scale rejects 0 (no artifact can be built) but --retry-jitter,
+    // which shares the fraction parser, accepts it.
+    Result<BootOptions> zero_jitter = parseBootArgs({"--retry-jitter=0"});
+    ASSERT_TRUE(zero_jitter.isOk()) << zero_jitter.status().toString();
+    EXPECT_DOUBLE_EQ(zero_jitter->retry.jitter, 0.0);
+    Result<BootOptions> zero_scale = parseBootArgs({"--scale=0"});
+    ASSERT_FALSE(zero_scale.isOk());
+    EXPECT_EQ(zero_scale.status().code(), ErrorCode::kInvalidArgument);
+    EXPECT_NE(zero_scale.status().message().find("--scale"),
+              std::string::npos);
 }
 
 TEST(BootCli, RejectsBadInput)

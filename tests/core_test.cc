@@ -6,6 +6,11 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <optional>
+#include <thread>
+#include <vector>
+
 #include "core/launch.h"
 #include "core/report.h"
 #include "workload/synthetic.h"
@@ -85,6 +90,179 @@ INSTANTIATE_TEST_SUITE_P(
         }
         return name;
     });
+
+/** Every field of every step, not just the totals. */
+void
+expectTracesEqual(const sim::BootTrace &a, const sim::BootTrace &b)
+{
+    ASSERT_EQ(a.steps().size(), b.steps().size());
+    for (std::size_t i = 0; i < a.steps().size(); ++i) {
+        const sim::Step &sa = a.steps()[i];
+        const sim::Step &sb = b.steps()[i];
+        EXPECT_EQ(sa.kind, sb.kind) << "step " << i;
+        EXPECT_EQ(sa.duration.ns(), sb.duration.ns()) << "step " << i;
+        EXPECT_EQ(sa.phase, sb.phase) << "step " << i;
+        EXPECT_EQ(sa.label, sb.label) << "step " << i;
+        EXPECT_EQ(sa.annotation, sb.annotation) << "step " << i;
+    }
+}
+
+class RequestValidationTest : public StrategyTest
+{
+  protected:
+    /** launch() must refuse @p req with a typed error, before any work. */
+    void
+    expectRejected(const LaunchRequest &req)
+    {
+        Result<LaunchResult> result =
+            BootStrategy(GetParam()).launch(platform_, req);
+        ASSERT_FALSE(result.isOk());
+        EXPECT_EQ(result.status().code(), ErrorCode::kInvalidArgument)
+            << result.status().toString();
+    }
+};
+
+TEST_P(RequestValidationTest, RejectsScaleZero)
+{
+    // Regression: scale 0 reached buildKernelArtifacts and panicked.
+    LaunchRequest req = smallRequest(workload::KernelConfig::kLupine);
+    req.scale = 0.0;
+    expectRejected(req);
+    EXPECT_EQ(validateLaunchRequest(req).code(),
+              ErrorCode::kInvalidArgument);
+}
+
+TEST_P(RequestValidationTest, RejectsNegativeScale)
+{
+    LaunchRequest req = smallRequest(workload::KernelConfig::kLupine);
+    req.scale = -0.5;
+    expectRejected(req);
+}
+
+TEST_P(RequestValidationTest, RejectsScaleAboveOne)
+{
+    LaunchRequest req = smallRequest(workload::KernelConfig::kLupine);
+    req.scale = 1.5;
+    expectRejected(req);
+}
+
+TEST_P(RequestValidationTest, RejectsNanScale)
+{
+    LaunchRequest req = smallRequest(workload::KernelConfig::kLupine);
+    req.scale = std::nan("");
+    expectRejected(req);
+}
+
+TEST_P(RequestValidationTest, RejectsVerifierSmallerThanItsBanner)
+{
+    // Regression: an 8-byte verifier overflowed the 22-byte banner copy.
+    LaunchRequest req = smallRequest(workload::KernelConfig::kLupine);
+    req.verifier_size = 8;
+    expectRejected(req);
+    req.verifier_size = 21;
+    expectRejected(req);
+}
+
+TEST_P(RequestValidationTest, RejectsVerifierOverlappingPageTables)
+{
+    // The shim sits at 0x10000; the page tables start at 0x200000.
+    LaunchRequest req = smallRequest(workload::KernelConfig::kLupine);
+    req.verifier_size = 0x1F0000 + 1;
+    expectRejected(req);
+}
+
+TEST(RequestValidation, AcceptsBoundaryValues)
+{
+    LaunchRequest req = smallRequest(workload::KernelConfig::kLupine);
+    req.scale = 1.0;
+    EXPECT_TRUE(validateLaunchRequest(req).isOk());
+    req.verifier_size = 22;
+    EXPECT_TRUE(validateLaunchRequest(req).isOk());
+    req.verifier_size = 0x1F0000;
+    EXPECT_TRUE(validateLaunchRequest(req).isOk());
+}
+
+TEST(RequestValidation, SmallestVerifierLaunches)
+{
+    Platform platform(sim::CostParams::deterministic());
+    LaunchRequest req = smallRequest(workload::KernelConfig::kLupine);
+    req.verifier_size = 22;
+    Result<LaunchResult> result =
+        BootStrategy(StrategyKind::kSeveriFastBz).launch(platform, req);
+    ASSERT_TRUE(result.isOk()) << result.status().toString();
+    EXPECT_GT(result->pre_encrypted_bytes, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllStrategies, RequestValidationTest,
+    ::testing::Values(StrategyKind::kStockFirecracker,
+                      StrategyKind::kQemuOvmfSev,
+                      StrategyKind::kSevDirectBoot,
+                      StrategyKind::kSeveriFastBz,
+                      StrategyKind::kSeveriFastVmlinux),
+    [](const auto &info) {
+        std::string name = strategyName(info.param);
+        for (char &c : name) {
+            if (c == '-') {
+                c = '_';
+            }
+        }
+        return name;
+    });
+
+TEST(Reentrancy, SharedStrategyMatchesSerialLaunches)
+{
+    // Strategies keep no per-launch state, so one instance may serve
+    // concurrent launches: 4 threads share it, launching both same-key
+    // requests (single-flight: one cold build, the rest warm) and
+    // distinct-key ones. Each result must equal a serial launch.
+    const BootStrategy strategy(StrategyKind::kSeveriFastBz);
+    std::vector<LaunchRequest> requests;
+    for (u64 i = 0; i < 8; ++i) {
+        LaunchRequest req = smallRequest(workload::KernelConfig::kAws);
+        req.seed = 100 + i;
+        if (i % 2 == 1) {
+            // Odd requests get their own key; even ones share one.
+            req.vm.cmdline += " reentrancy=" + std::to_string(i);
+        }
+        requests.push_back(req);
+    }
+
+    Platform serial(sim::CostParams::deterministic());
+    std::vector<LaunchResult> expected;
+    for (const LaunchRequest &req : requests) {
+        Result<LaunchResult> r = strategy.launch(serial, req);
+        ASSERT_TRUE(r.isOk()) << r.status().toString();
+        expected.push_back(r.take());
+    }
+
+    Platform shared(sim::CostParams::deterministic());
+    std::vector<std::optional<Result<LaunchResult>>> got(requests.size());
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            for (std::size_t i = t; i < requests.size(); i += 4) {
+                got[i].emplace(strategy.launch(shared, requests[i]));
+            }
+        });
+    }
+    for (std::thread &th : threads) {
+        th.join();
+    }
+
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+        SCOPED_TRACE("request " + std::to_string(i));
+        ASSERT_TRUE(got[i].has_value());
+        ASSERT_TRUE(got[i]->isOk()) << got[i]->status().toString();
+        const LaunchResult &r = **got[i];
+        EXPECT_EQ(r.measurement, expected[i].measurement);
+        EXPECT_EQ(r.attested, expected[i].attested);
+        EXPECT_EQ(r.provisioned_secret_bytes,
+                  expected[i].provisioned_secret_bytes);
+        EXPECT_EQ(r.pre_encrypted_bytes, expected[i].pre_encrypted_bytes);
+        expectTracesEqual(r.trace, expected[i].trace);
+    }
+}
 
 class OrderingTest : public ::testing::Test
 {

@@ -147,6 +147,27 @@ TEST(KernelArtifacts, CachedReturnsSameObject)
     EXPECT_EQ(&a, &b);
 }
 
+TEST(KernelArtifacts, CacheKeysOnExactScale)
+{
+    // Regression: the memos keyed on lround(scale * 1e6), so a scale
+    // within 5e-7 of an earlier one was served the earlier scale's
+    // artifacts. Scales unused elsewhere, so the near one comes first.
+    constexpr double kScale = 0.02;
+    constexpr double kNear = 0.0200004;
+    const KernelArtifacts &near =
+        cachedKernelArtifacts(KernelConfig::kLupine, kNear);
+    const KernelArtifacts &exact =
+        cachedKernelArtifacts(KernelConfig::kLupine, kScale);
+    EXPECT_NE(&near, &exact);
+    EXPECT_EQ(near.scale, kNear);
+    EXPECT_EQ(exact.scale, kScale);
+
+    const ByteVec &near_initrd = cachedInitrd(kNear);
+    const ByteVec &exact_initrd = cachedInitrd(kScale);
+    EXPECT_NE(&near_initrd, &exact_initrd);
+    EXPECT_NE(near_initrd, exact_initrd);
+}
+
 // ------------------------------------------------------------- initrd
 
 TEST(Initrd, IsValidCpioWithAttestationTooling)

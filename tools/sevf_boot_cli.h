@@ -44,7 +44,8 @@ bootFlags()
         {"--kernel", "lupine|aws|ubuntu", "guest kernel config (default aws)"},
         {"--mode", "sev|sev-es|sev-snp", "SEV generation (default sev-snp)"},
         {"--vcpus", "N", "guest vCPU count"},
-        {"--scale", "0..1", "artifact scale factor (default 1.0)"},
+        {"--scale", "0..1",
+         "artifact scale factor, above 0 (default 1.0)"},
         {"--seed", "N", "launch determinism seed (default 1)"},
         {"--threads", "N",
          "host worker threads for the parallel launch pipeline "
@@ -266,6 +267,12 @@ parseBootArgs(const std::vector<std::string> &args)
         } else if (arg == "--scale") {
             SEVF_ASSIGN_OR_RETURN(opts.request.scale,
                                   parseFraction(arg, value, 1.0));
+            // parseFraction admits 0, which no artifact can be built at
+            // (core::validateLaunchRequest); --retry-jitter keeps it.
+            if (opts.request.scale == 0.0) {
+                return errInvalidArgument(arg + " must be above 0, got \"" +
+                                          value + "\"");
+            }
         } else if (arg == "--seed") {
             SEVF_ASSIGN_OR_RETURN(opts.request.seed,
                                   parseU64(arg, value));

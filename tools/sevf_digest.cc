@@ -13,13 +13,13 @@
  */
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 
 #include "attest/expected_measurement.h"
 #include "base/bytes.h"
 #include "core/launch.h"
 #include "stats/table.h"
+#include "tools/sevf_cli_num.h"
 #include "verifier/verifier_binary.h"
 #include "vmm/layout.h"
 #include "vmm/microvm.h"
@@ -42,6 +42,25 @@ usage(const char *argv0)
     std::exit(2);
 }
 
+/** Print why the command line was rejected, then the usage. */
+[[noreturn]] void
+reject(const char *argv0, const Status &status)
+{
+    std::fprintf(stderr, "%s\n", status.message().c_str());
+    usage(argv0);
+}
+
+/** The value of a parsed flag, or a rejection naming the flag. */
+template <typename T>
+T
+flagValue(const char *argv0, Result<T> parsed)
+{
+    if (!parsed.isOk()) {
+        reject(argv0, parsed.status());
+    }
+    return parsed.take();
+}
+
 } // namespace
 
 int
@@ -52,11 +71,20 @@ main(int argc, char **argv)
 
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        auto next = [&]() -> const char * {
+        auto next = [&]() -> std::string {
             if (i + 1 >= argc) {
                 usage(argv[0]);
             }
             return argv[++i];
+        };
+        // A value the launch layer refuses is rejected against the flag
+        // that set it, before any artifact is built.
+        auto validate = [&]() {
+            Status valid = core::validateLaunchRequest(request);
+            if (!valid.isOk()) {
+                reject(argv[0], Status(valid.code(),
+                                       arg + ": " + valid.message()));
+            }
         };
         if (arg == "--kernel") {
             std::string k = next();
@@ -70,7 +98,8 @@ main(int argc, char **argv)
                 usage(argv[0]);
             }
         } else if (arg == "--vcpus") {
-            request.vm.vcpus = static_cast<u32>(std::atoi(next()));
+            request.vm.vcpus =
+                flagValue(argv[0], tools::parseU32(arg, next()));
         } else if (arg == "--mode") {
             std::string m = next();
             if (m == "sev") {
@@ -83,10 +112,13 @@ main(int argc, char **argv)
                 usage(argv[0]);
             }
         } else if (arg == "--scale") {
-            request.scale = std::atof(next());
+            request.scale =
+                flagValue(argv[0], tools::parseFraction(arg, next(), 1.0));
+            validate();
         } else if (arg == "--verifier-size") {
             request.verifier_size =
-                static_cast<u64>(std::atoll(next()));
+                flagValue(argv[0], tools::parseU64(arg, next()));
+            validate();
         } else if (arg == "--initrd-codec") {
             std::string c = next();
             if (c == "none") {
