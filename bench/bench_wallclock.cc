@@ -10,7 +10,8 @@
  *  2. the pre-encrypt + measure pipeline at 1..N host threads, with a
  *     bit-identity check that the launch digest and ciphertext do not
  *     depend on the thread count,
- *  3. end-to-end functional launch latency per strategy.
+ *  3. end-to-end functional launch latency per strategy, after a
+ *     separately timed artifact-prep step.
  *
  * Results are written as JSON (default: BENCH_wallclock.json in the
  * current directory; pass a path to override) so CI can archive them.
@@ -35,6 +36,7 @@ namespace {
 
 constexpr u64 kImageBytes = 64ull << 20; // the paper's 64 MiB guest image
 constexpr int kReps = 3;
+constexpr double kLaunchScale = 0.25; // section 3's artifact scale
 
 ByteVec
 randomBytes(std::size_t n, u64 seed)
@@ -187,6 +189,18 @@ main(int argc, char **argv)
 
     // ---- 3. Functional launch latency per strategy ----------------------
     bench::banner("wallclock", "functional launch latency (scale 0.25)");
+    // Artifact synthesis is one-time setup, timed on its own so the
+    // first strategy's launch does not pay it.
+    double artifact_prep_s = 0;
+    {
+        double t0 = bench::wallClock();
+        (void)workload::cachedKernelArtifacts(
+            core::LaunchRequest{}.kernel, kLaunchScale);
+        (void)workload::cachedInitrd(kLaunchScale);
+        artifact_prep_s = bench::wallClock() - t0;
+    }
+    std::printf("  %-22s %8.1f ms host wall clock\n", "artifact prep",
+                artifact_prep_s * 1e3);
     std::vector<bench::JsonObject> launches;
     for (core::StrategyKind kind : {
              core::StrategyKind::kStockFirecracker,
@@ -196,7 +210,7 @@ main(int argc, char **argv)
              core::StrategyKind::kSeveriFastVmlinux,
          }) {
         core::LaunchRequest request;
-        request.scale = 0.25;
+        request.scale = kLaunchScale;
         request.host_threads = base::hardwareThreads();
         // This section reports COLD launch latency; warm-path numbers
         // live in the "cache" section (bench_cache_hit).
@@ -230,6 +244,7 @@ main(int argc, char **argv)
         .field("aes_ni", crypto::Aes128::hardwareAccelerated())
         .raw("kernels", bench::jsonArray(kernels))
         .raw("scaling", bench::jsonArray(scaling))
+        .field("artifact_prep_s", artifact_prep_s)
         .raw("launches", bench::jsonArray(launches));
 
     std::ofstream out(out_path);

@@ -30,58 +30,33 @@ inline constexpr const char *kRejectedHelp =
 inline constexpr const char *kLatencyHelp =
     "Submit-to-resolution wall nanoseconds, per tenant";
 
-/** Eagerly register @p tenant's service families (zero-valued export). */
-void
-registerTenantMetrics(const std::string &tenant)
-{
-    obs::Registry &reg = obs::Registry::instance();
-    obs::Labels labels{{"tenant", tenant}};
-    (void)reg.counter("sevf_service_submitted_total", kSubmittedHelp,
-                      labels);
-    (void)reg.counter("sevf_service_completed_total", kCompletedHelp,
-                      labels);
-    (void)reg.counter("sevf_service_failed_total", kFailedHelp, labels);
-    (void)reg.counter("sevf_service_rejected_total", kRejectedHelp,
-                      labels);
-    (void)reg.histogram("sevf_service_latency_ns", kLatencyHelp,
-                        obs::defaultTimeBoundsNs(), labels);
-}
-
-/**
- * Count one resolved ticket in @p tenant's @p family and, for a launch
- * that got past the service's own checks (@p submit_ns set), observe
- * its submit-to-resolution latency. Called just before the ticket
- * resolves, so a consumer that saw its result sees it counted.
- */
-void
-countOutcome(const std::string &tenant, const char *family,
-             const char *help, u64 submit_ns)
-{
-    obs::Registry &reg = obs::Registry::instance();
-    obs::Labels labels{{"tenant", tenant}};
-    reg.counter(family, help, labels).add();
-    if (submit_ns != 0) {
-        reg.histogram("sevf_service_latency_ns", kLatencyHelp,
-                      obs::defaultTimeBoundsNs(), labels)
-            .observe(obs::wallNowNs() - submit_ns);
-    }
-}
-
 } // namespace
+
+LaunchService::TenantMetrics
+LaunchService::TenantMetrics::forTenant(const std::string &tenant)
+{
+    obs::Registry &reg = obs::Registry::instance();
+    obs::Labels labels{{"tenant", tenant}};
+    return {
+        &reg.counter("sevf_service_submitted_total", kSubmittedHelp, labels),
+        &reg.counter("sevf_service_completed_total", kCompletedHelp, labels),
+        &reg.counter("sevf_service_failed_total", kFailedHelp, labels),
+        &reg.counter("sevf_service_rejected_total", kRejectedHelp, labels),
+        &reg.histogram("sevf_service_latency_ns", kLatencyHelp,
+                       obs::defaultTimeBoundsNs(), labels),
+    };
+}
 
 LaunchService::LaunchService(core::Platform &platform,
                              TenantRegistry &registry, ServiceConfig config)
     : platform_(platform), registry_(registry),
       queue_limit_(config.queue_depth == 0 ? 1 : config.queue_depth),
-      shed_on_full_(config.shed_on_full)
+      shed_on_full_(config.shed_on_full),
+      shed_total_(obs::Registry::instance().counter(
+          "sevf_admission_shed_total", kShedHelp)),
+      quota_total_(obs::Registry::instance().counter(
+          "sevf_admission_rejected_quota_total", kQuotaHelp))
 {
-    // Eager registration: the rejection counters must appear
-    // (zero-valued) in every export so the obscheck doc gates cover
-    // them on fault-free runs.
-    (void)obs::Registry::instance().counter("sevf_admission_shed_total",
-                                            kShedHelp);
-    (void)obs::Registry::instance().counter(
-        "sevf_admission_rejected_quota_total", kQuotaHelp);
     applyQuotas();
     unsigned n = config.workers != 0
                      ? config.workers
@@ -136,7 +111,7 @@ LaunchService::applyQuotas()
             base::MutexLock lock(mu_);
             sched_.setLimits(id, *quota);
         }
-        registerTenantMetrics(id);
+        (void)tenantMetrics(id);
         total_share += quota->cache_share_bytes;
     }
     // A raised in-flight cap may make parked jobs dispatchable.
@@ -154,36 +129,57 @@ LaunchService::applyQuotas()
     cache.setShardCapacityBytes((total_share / shards) * 2 + 1);
 }
 
+LaunchService::TenantMetrics
+LaunchService::tenantMetrics(const std::string &tenant)
+{
+    {
+        base::MutexLock lock(mu_);
+        auto it = tenant_metrics_.find(tenant);
+        if (it != tenant_metrics_.end()) {
+            return it->second;
+        }
+    }
+    // Resolved outside mu_, so the registry lock never nests under it.
+    TenantMetrics resolved = TenantMetrics::forTenant(tenant);
+    base::MutexLock lock(mu_);
+    tenant_metrics_.try_emplace(tenant, resolved);
+    return resolved;
+}
+
 std::shared_ptr<core::LaunchTicket>
 LaunchService::submit(const std::string &tenant, core::StrategyKind kind,
                       core::LaunchRequest request)
 {
     SEVF_SPAN("service.enqueue");
     auto ticket = std::make_shared<core::LaunchTicket>();
+    TenantMetrics metrics;
     u64 submit_ns = 0;
     // Every resolution on this path means the launch never ran, so it
     // counts as rejected whatever its error code.
     auto reject = [&](Status error) {
-        countOutcome(tenant, "sevf_service_rejected_total", kRejectedHelp,
-                     submit_ns);
+        metrics.rejected->add();
+        if (submit_ns != 0) { // submitted, then refused: time it
+            metrics.latency->observe(obs::wallNowNs() - submit_ns);
+        }
         ticket->complete(std::move(error));
         return ticket;
     };
 
     if (!registry_.quota(tenant).has_value()) {
+        // Counted by name: an unknown tenant gets no cached handles.
+        metrics.rejected = &obs::Registry::instance().counter(
+            "sevf_service_rejected_total", kRejectedHelp, {{"tenant", tenant}});
         return reject(
             errNotFound("unknown tenant \"" + tenant + "\"" +
                         ": register it before submitting launches"));
     }
+    metrics = tenantMetrics(tenant);
     Status admitted = fault::FaultInjector::instance().check(
         fault::FaultSite::kServiceEnqueue, "service submit: " + tenant);
     if (!admitted.isOk()) {
         return reject(std::move(admitted));
     }
-    obs::Registry::instance()
-        .counter("sevf_service_submitted_total", kSubmittedHelp,
-                 {{"tenant", tenant}})
-        .add();
+    metrics.submitted->add();
     submit_ns = obs::wallNowNs();
 
     Job job;
@@ -192,6 +188,7 @@ LaunchService::submit(const std::string &tenant, core::StrategyKind kind,
     job.request.host_threads = 1;
     job.ticket = ticket;
     job.tenant = tenant;
+    job.metrics = metrics;
     job.submit_ns = submit_ns;
 
     // Load shedding: an injected enqueue fault (deterministic tests) or
@@ -233,11 +230,7 @@ LaunchService::submit(const std::string &tenant, core::StrategyKind kind,
         }
     }
     if (shed) {
-        if (obs::metricsEnabled()) {
-            obs::Registry::instance()
-                .counter("sevf_admission_shed_total", kShedHelp)
-                .add();
-        }
+        shed_total_.add();
         return reject(errBackpressure(
             "admission queue full: launch shed, retry later"));
     }
@@ -246,11 +239,7 @@ LaunchService::submit(const std::string &tenant, core::StrategyKind kind,
             "launch service shutting down: launch not admitted"));
     }
     if (quota_rejected) {
-        if (obs::metricsEnabled()) {
-            obs::Registry::instance()
-                .counter("sevf_admission_rejected_quota_total", kQuotaHelp)
-                .add();
-        }
+        quota_total_.add();
         return reject(errQuotaExceeded(
             "tenant " + tenant + " over its queued-launch quota"));
     }
@@ -333,13 +322,8 @@ LaunchService::workerLoop()
             }
         }
         // A worker resolves only launches that ran: completed or failed.
-        if (ok) {
-            countOutcome(job.tenant, "sevf_service_completed_total",
-                         kCompletedHelp, job.submit_ns);
-        } else {
-            countOutcome(job.tenant, "sevf_service_failed_total",
-                         kFailedHelp, job.submit_ns);
-        }
+        (ok ? job.metrics.completed : job.metrics.failed)->add();
+        job.metrics.latency->observe(obs::wallNowNs() - job.submit_ns);
         job.ticket->complete(std::move(result));
         {
             base::MutexLock lock(mu_);

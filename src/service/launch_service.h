@@ -50,6 +50,7 @@
 #define SEVF_SERVICE_LAUNCH_SERVICE_H_
 
 #include <condition_variable>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -59,6 +60,7 @@
 #include "base/thread_annotations.h"
 #include "core/launch.h"
 #include "core/platform.h"
+#include "obs/metrics.h"
 #include "service/drr_scheduler.h"
 #include "service/tenant.h"
 
@@ -142,22 +144,44 @@ class LaunchService
     LaunchService &pipeline() { return *this; }
 
   private:
+    /** One tenant's sevf_service_* families, resolved by name once;
+     *  the global obs::Registry owns them, so a copy outlives the
+     *  service (a submit woken by shutdown still counts through one). */
+    struct TenantMetrics {
+        /** Register (zero-valued) and resolve @p tenant's families. */
+        static TenantMetrics forTenant(const std::string &tenant);
+
+        obs::Counter *submitted = nullptr;
+        obs::Counter *completed = nullptr;
+        obs::Counter *failed = nullptr;
+        obs::Counter *rejected = nullptr;
+        obs::Histogram *latency = nullptr;
+    };
+
     struct Job {
         core::StrategyKind kind = core::StrategyKind::kStockFirecracker;
         core::LaunchRequest request;
         std::shared_ptr<core::LaunchTicket> ticket;
         std::string tenant;
+        TenantMetrics metrics;
         u64 submit_ns = 0;
     };
 
     /** Push registry quotas into the scheduler and the cache budgets. */
     void applyQuotas();
+    /** @p tenant's handles, resolved on first use. */
+    TenantMetrics tenantMetrics(const std::string &tenant);
     void workerLoop();
 
     core::Platform &platform_;
     TenantRegistry &registry_;
     std::size_t queue_limit_;
     bool shed_on_full_;
+    // Registered in the constructor, so the rejection counters appear
+    // (zero-valued) in every export and the obscheck doc gates cover
+    // them on fault-free runs.
+    obs::Counter &shed_total_;
+    obs::Counter &quota_total_;
 
     mutable base::Mutex mu_;
     std::condition_variable space_; //!< queue has a free slot / stopping
@@ -167,6 +191,8 @@ class LaunchService
     unsigned active_ SEVF_GUARDED_BY(mu_) = 0;
     bool stopping_ SEVF_GUARDED_BY(mu_) = false;
     Stats stats_ SEVF_GUARDED_BY(mu_);
+    std::map<std::string, TenantMetrics> tenant_metrics_
+        SEVF_GUARDED_BY(mu_);
 
     std::vector<std::thread> threads_;
 };

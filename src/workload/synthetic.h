@@ -4,7 +4,7 @@
  *
  * Real guest kernels are unavailable in this environment, so we
  * synthesize vmlinux/bzImage/initrd files with the paper's exact
- * artifact sizes (Fig 8) and tuned compressibility, as real ELF /
+ * artifact sizes (Fig 8) and pinned compressibility, as real ELF /
  * boot-protocol / CPIO files that the project's own parsers and loaders
  * consume. Every boot-path cost the paper measures is a function of
  * size, structure, and compressibility - all reproduced here.
@@ -14,7 +14,6 @@
 
 #include "base/status.h"
 #include "base/types.h"
-#include "compress/codec.h"
 #include "workload/kernel_spec.h"
 
 namespace sevf::workload {
@@ -26,13 +25,6 @@ namespace sevf::workload {
  */
 ByteVec compressibleBytes(u64 size, double random_fraction, u64 seed);
 
-/**
- * Binary-search the random_fraction so that LZ4(bytes) lands within
- * @p tolerance of @p target_compressed. Returns the fraction.
- */
-double calibrateRandomFraction(u64 size, u64 target_compressed, u64 seed,
-                               double tolerance = 0.03);
-
 /** A generated kernel with both boot formats. */
 struct KernelArtifacts {
     KernelSpec spec;
@@ -43,18 +35,14 @@ struct KernelArtifacts {
 };
 
 /**
- * Build the artifacts for @p spec.
- *
- * @param scale shrink factor for fast unit tests (sizes multiplied by
- *        @p scale, compressibility targets preserved); benches use 1.0.
- */
-KernelArtifacts buildKernelArtifacts(const KernelSpec &spec, u64 seed,
-                                     double scale = 1.0);
-
-/**
  * Cached artifacts: built once per (config, scale) per process. The
  * bench harness boots hundreds of VMs from the same kernel, mirroring
  * the paper's warm-buffer-cache methodology (§6.1).
+ *
+ * @param scale in (0, 1], multiplies the sizes (tests shrink them).
+ *        Compressibility comes from a pinned table's column for the
+ *        smallest power of two >= @p scale (1/64 below that); one fixed
+ *        seed per config, so the bytes are deterministic.
  */
 const KernelArtifacts &cachedKernelArtifacts(KernelConfig config,
                                              double scale = 1.0);

@@ -1,15 +1,20 @@
 /**
  * @file
  * Workload generator tests: compressibility control, kernel artifact
- * synthesis (valid ELF + bzImage at target sizes/ratios), and the
- * attestation initrd.
+ * synthesis (valid ELF + bzImage at target sizes/ratios for every
+ * pinned-table scale), and the attestation initrd.
  */
 #include <gtest/gtest.h>
+
+#include <string>
+#include <tuple>
 
 #include "compress/codec.h"
 #include "image/bzimage.h"
 #include "image/cpio.h"
 #include "image/elf.h"
+#include "obs/metrics.h"
+#include "obs/span.h"
 #include "workload/kernel_spec.h"
 #include "workload/synthetic.h"
 
@@ -75,18 +80,6 @@ TEST(CompressibleBytes, FractionControlsRatio)
     EXPECT_GT(high, size / 2);
 }
 
-TEST(CompressibleBytes, CalibrationHitsTarget)
-{
-    u64 size = 1 * kMiB;
-    u64 target = 300 * 1024;
-    double frac = calibrateRandomFraction(size, target, 11);
-    u64 got = lz4().compress(compressibleBytes(size, frac, 11)).size();
-    double rel = std::abs(static_cast<double>(got) -
-                          static_cast<double>(target)) /
-                 static_cast<double>(target);
-    EXPECT_LT(rel, 0.08);
-}
-
 // ------------------------------------------------------------ kernels
 
 class KernelArtifactsTest
@@ -113,22 +106,6 @@ TEST_P(KernelArtifactsTest, ProducesValidLoadableImages)
     EXPECT_EQ(*back, art.vmlinux);
 }
 
-TEST_P(KernelArtifactsTest, SizesNearPaperTargets)
-{
-    const KernelArtifacts &art = cachedKernelArtifacts(GetParam(), kTestScale);
-    const KernelSpec &spec = kernelSpec(GetParam());
-
-    double vm_target =
-        static_cast<double>(spec.vmlinux_size) * kTestScale;
-    double bz_target =
-        static_cast<double>(spec.bzimage_target_size) * kTestScale;
-
-    EXPECT_NEAR(static_cast<double>(art.vmlinux.size()), vm_target,
-                vm_target * 0.05);
-    EXPECT_NEAR(static_cast<double>(art.bzimage.size()), bz_target,
-                bz_target * 0.15);
-}
-
 INSTANTIATE_TEST_SUITE_P(AllConfigs, KernelArtifactsTest,
                          ::testing::Values(KernelConfig::kLupine,
                                            KernelConfig::kAws,
@@ -137,6 +114,56 @@ INSTANTIATE_TEST_SUITE_P(AllConfigs, KernelArtifactsTest,
                              return std::string(
                                  kernelConfigName(info.param));
                          });
+
+/** Every column of the pinned compressibility table, plus one scale
+ *  between columns. */
+class KernelSizesTest
+    : public ::testing::TestWithParam<std::tuple<KernelConfig, double>>
+{
+};
+
+TEST_P(KernelSizesTest, SizesNearPaperTargets)
+{
+    const auto [config, scale] = GetParam();
+    const KernelArtifacts &art = cachedKernelArtifacts(config, scale);
+    const KernelSpec &spec = kernelSpec(config);
+
+    double vm_target = static_cast<double>(spec.vmlinux_size) * scale;
+    double bz_target = static_cast<double>(spec.bzimage_target_size) * scale;
+
+    EXPECT_NEAR(static_cast<double>(art.vmlinux.size()), vm_target,
+                vm_target * 0.05);
+    EXPECT_NEAR(static_cast<double>(art.bzimage.size()), bz_target,
+                bz_target * 0.15);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllConfigsAndScales, KernelSizesTest,
+    ::testing::Combine(::testing::Values(KernelConfig::kLupine,
+                                         KernelConfig::kAws,
+                                         KernelConfig::kUbuntu),
+                       ::testing::Values(1.0, 0.5, 0.3, 0.25, 0.125, 0.0625,
+                                         0.03125, 0.015625)),
+    [](const auto &info) {
+        return std::string(kernelConfigName(std::get<0>(info.param))) +
+               "_scale_" +
+               std::to_string(static_cast<int>(std::get<1>(info.param) *
+                                               1e6));
+    });
+
+TEST(KernelArtifacts, OneLz4PassPerBuild)
+{
+    // The compressibility is pinned, so the only LZ4 pass is the
+    // bzImage's own. A scale no other test builds, so this call is a
+    // cache miss.
+    obs::ScopedEnable metrics(/*metrics=*/true, /*tracing=*/false);
+    const obs::Counter &lz4_bytes =
+        obs::kernelMetrics("lz4_compress").bytes_total;
+    const u64 before = lz4_bytes.value();
+    const KernelArtifacts &art =
+        cachedKernelArtifacts(KernelConfig::kAws, 0.01);
+    EXPECT_EQ(lz4_bytes.value() - before, art.vmlinux.size());
+}
 
 TEST(KernelArtifacts, CachedReturnsSameObject)
 {
