@@ -6,7 +6,8 @@
  * cost model; this binary times the actual kernels and the actual
  * parallel pre-encryption pipeline on the host it runs on:
  *
- *  1. serial kernel throughput (SHA-256, XEX encrypt/decrypt, LZ4),
+ *  1. serial kernel throughput (SHA-256, XEX encrypt/decrypt in place
+ *     and out of place to/from guest DRAM, LZ4),
  *  2. the pre-encrypt + measure pipeline at 1..N host threads, with a
  *     bit-identity check that the launch digest and ciphertext do not
  *     depend on the thread count,
@@ -28,6 +29,7 @@
 #include "crypto/measurement.h"
 #include "crypto/sha256.h"
 #include "crypto/xex.h"
+#include "memory/dram.h"
 #include "workload/synthetic.h"
 
 using namespace sevf;
@@ -67,7 +69,7 @@ preEncryptAndMeasure(const crypto::XexCipher &engine, ByteVec &image)
 {
     crypto::LaunchDigest digest;
     digest.extendRegion(crypto::MeasuredPageType::kNormal, 0, image);
-    engine.encrypt(image, /*addr=*/0x100000000ull);
+    engine.encrypt(image, image.data(), /*addr=*/0x100000000ull);
     return digest.value();
 }
 
@@ -111,14 +113,29 @@ main(int argc, char **argv)
     crypto::XexCipher engine = makeEngine(12);
     {
         base::ScopedHostThreads serial(1);
+        constexpr u64 kAddr = 0x100000000ull;
         t = bench::bestOf(kReps,
-                          [&] { engine.encrypt(buf, 0x100000000ull); });
+                          [&] { engine.encrypt(buf, buf.data(), kAddr); });
         kernels.push_back(
             bench::throughputRecord("xex_encrypt", kImageBytes, t));
         t = bench::bestOf(kReps,
-                          [&] { engine.decrypt(buf, 0x100000000ull); });
+                          [&] { engine.decrypt(buf, buf.data(), kAddr); });
         kernels.push_back(
             bench::throughputRecord("xex_decrypt", kImageBytes, t));
+        // The launch path's form: out of place, between a source buffer
+        // and guest DRAM. Best-of-3 leaves out the first rep's
+        // first-touch faults on the fresh mapping.
+        memory::DramBuffer dram(kImageBytes);
+        t = bench::bestOf(kReps,
+                          [&] { engine.encrypt(buf, dram.data(), kAddr); });
+        kernels.push_back(
+            bench::throughputRecord("xex_encrypt_to_dram", kImageBytes, t));
+        t = bench::bestOf(kReps, [&] {
+            engine.decrypt(ByteSpan(dram.data(), dram.size()), buf.data(),
+                           kAddr);
+        });
+        kernels.push_back(bench::throughputRecord("xex_decrypt_from_dram",
+                                                  kImageBytes, t));
     }
 
     ByteVec vmlinux = workload::compressibleBytes(kImageBytes / 4, 0.3, 13);

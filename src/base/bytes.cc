@@ -77,4 +77,11 @@ toBytes(std::string_view s)
     return {b.begin(), b.end()};
 }
 
+ByteSpan
+zeroBlock()
+{
+    static const u8 kZeros[64 * 1024] = {};
+    return ByteSpan(kZeros, sizeof(kZeros));
+}
+
 } // namespace sevf

@@ -52,6 +52,13 @@ ByteSpan asBytes(std::string_view s);
 ByteVec toBytes(std::string_view s);
 
 /**
+ * A static all-zero block of 64 KiB, a multiple of the page size: the
+ * source for zero-fill writes (BSS tails) and zero-page comparisons
+ * without allocating.
+ */
+ByteSpan zeroBlock();
+
+/**
  * Sequential binary writer building a ByteVec; all integers little-endian.
  * Used by the image builders (ELF, bzImage, CPIO).
  */

@@ -13,6 +13,9 @@
 #ifndef SEVF_CORE_TRACE_BUILDER_H_
 #define SEVF_CORE_TRACE_BUILDER_H_
 
+#include <atomic>
+#include <cstring>
+#include <iterator>
 #include <string>
 
 #include "obs/metrics.h"
@@ -100,18 +103,68 @@ class TraceBuilder
                          static_cast<u64>(d.ns()));
         }
         if (obs::metricsEnabled()) {
-            obs::Registry::instance()
-                .histogram("sevf_sim_step_ns",
-                           "Simulated duration of one charged boot step",
-                           obs::defaultTimeBoundsNs(),
-                           {{"kind", sim::stepKindName(kind)}})
-                .observe(static_cast<u64>(d.ns()));
-            obs::Registry::instance()
-                .counter("sevf_launch_phase_sim_ns_total",
-                         "Simulated nanoseconds charged per boot phase",
-                         {{"phase", phase}})
-                .add(static_cast<u64>(d.ns()));
+            stepNs(kind).observe(static_cast<u64>(d.ns()));
+            phaseSimNs(phase).add(static_cast<u64>(d.ns()));
         }
+    }
+
+    /**
+     * sevf_sim_step_ns{kind}, resolved on the first step of each kind
+     * and cached for the process. Lazily, so an export lists exactly
+     * the series a run charged. A racing first fill stores the same
+     * registry-owned handle twice.
+     */
+    static obs::Histogram &
+    stepNs(sim::StepKind kind)
+    {
+        static std::atomic<obs::Histogram *> cache[3];
+        std::atomic<obs::Histogram *> &slot =
+            cache[static_cast<std::size_t>(kind)];
+        obs::Histogram *h = slot.load(std::memory_order_acquire);
+        if (h == nullptr) {
+            h = &obs::Registry::instance().histogram(
+                "sevf_sim_step_ns",
+                "Simulated duration of one charged boot step",
+                obs::defaultTimeBoundsNs(),
+                {{"kind", sim::stepKindName(kind)}});
+            slot.store(h, std::memory_order_release);
+        }
+        return *h;
+    }
+
+    /**
+     * sevf_launch_phase_sim_ns_total{phase}, cached the same way for
+     * every sim::phase name. Any other phase string (none is charged
+     * today) falls back to a by-name lookup.
+     */
+    static obs::Counter &
+    phaseSimNs(const char *phase)
+    {
+        static constexpr const char *kPhases[] = {
+            sim::phase::kVmm,          sim::phase::kPreEncryption,
+            sim::phase::kFirmware,     sim::phase::kBootVerification,
+            sim::phase::kBootstrapLoader, sim::phase::kLinuxBoot,
+            sim::phase::kAttestation,
+        };
+        static std::atomic<obs::Counter *> cache[std::size(kPhases)];
+        auto resolve = [phase] {
+            return &obs::Registry::instance().counter(
+                "sevf_launch_phase_sim_ns_total",
+                "Simulated nanoseconds charged per boot phase",
+                {{"phase", phase}});
+        };
+        for (std::size_t i = 0; i < std::size(kPhases); ++i) {
+            if (std::strcmp(phase, kPhases[i]) != 0) {
+                continue;
+            }
+            obs::Counter *c = cache[i].load(std::memory_order_acquire);
+            if (c == nullptr) {
+                c = resolve();
+                cache[i].store(c, std::memory_order_release);
+            }
+            return *c;
+        }
+        return *resolve();
     }
 
     void

@@ -269,7 +269,7 @@ Aes128::encryptBlock(u8 *block) const
         return;
     }
 #endif
-    encryptBlockScalar(block);
+    encryptBlockTable(block);
 }
 
 void
@@ -281,11 +281,11 @@ Aes128::decryptBlock(u8 *block) const
         return;
     }
 #endif
-    decryptBlockScalar(block);
+    decryptBlockTable(block);
 }
 
 void
-Aes128::encryptBlockScalar(u8 *block) const
+Aes128::encryptBlockTable(u8 *block) const
 {
     const Tables &t = tables();
     u32 s0 = loadBe(block) ^ enc_rk_[0];
@@ -333,7 +333,7 @@ Aes128::encryptBlockScalar(u8 *block) const
 }
 
 void
-Aes128::decryptBlockScalar(u8 *block) const
+Aes128::decryptBlockTable(u8 *block) const
 {
     const Tables &t = tables();
     u32 s0 = loadBe(block) ^ dec_rk_[0];

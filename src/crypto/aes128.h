@@ -42,9 +42,24 @@ class Aes128
     /** True when the hardware (AES-NI) block path is in use. */
     static bool hardwareAccelerated();
 
+    /** Encrypt one block in place with the portable T-table rounds. */
+    void encryptBlockTable(u8 *block) const;
+
+    /** Decrypt one block in place with the portable T-table rounds. */
+    void decryptBlockTable(u8 *block) const;
+
+    /**
+     * The 11 round keys (176 bytes) in the byte layout the AES-NI round
+     * instructions consume: the encryption schedule, or with
+     * @p decrypt the equivalent-inverse-cipher decryption schedule.
+     */
+    const u8 *
+    roundKeyBytes(bool decrypt) const
+    {
+        return rk_bytes_ + (decrypt ? 176 : 0);
+    }
+
   private:
-    void encryptBlockScalar(u8 *block) const;
-    void decryptBlockScalar(u8 *block) const;
 
     // 11 round keys as big-endian words (T-table formulation), plus the
     // equivalent-inverse-cipher decryption schedule. rk_bytes_ holds the

@@ -6,31 +6,27 @@
 #include "base/bytes.h"
 #include "base/logging.h"
 #include "base/parallel.h"
+#include "crypto/xex_lines.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+
+// The AES-NI line loop is compiled with a per-function target
+// attribute; Aes128::hardwareAccelerated() gates it at runtime. The
+// attribute goes through a macro so sevf_lint's root-of-trust call
+// graph parses (and counts) the functions that carry it.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define SEVF_XEX_AESNI 1
+#define SEVF_AESNI_TARGET __attribute__((target("aes,sse2")))
+#include <immintrin.h>
+#else
+#define SEVF_AESNI_TARGET
+#endif
 
 namespace sevf::crypto {
 
 namespace {
 
-/**
- * The XTS tweak is a 128-bit little-endian polynomial over GF(2), kept
- * as two u64 halves so doubling and XOR run word-wise instead of the
- * old byte-at-a-time loops.
- */
-struct Tweak128 {
-    u64 lo;
-    u64 hi;
-};
-
-/** Multiply by alpha (= x) in GF(2^128): the XTS tweak-doubling step. */
-inline void
-gfDouble(Tweak128 &t)
-{
-    u64 carry = t.hi >> 63;
-    t.hi = (t.hi << 1) | (t.lo >> 63);
-    t.lo = (t.lo << 1) ^ (0x87 & (0 - carry));
-}
+using detail::Tweak128;
 
 /**
  * Multiply by x^i for 0 <= i < 256 in O(1): shift the 128-bit
@@ -72,12 +68,6 @@ gfMulXPow(Tweak128 &t, unsigned i)
     t.hi = w[1];
 }
 
-inline Tweak128
-loadTweak(const u8 *p)
-{
-    return {loadLe<u64>(p), loadLe<u64>(p + 8)};
-}
-
 inline void
 xorTweak(u8 *block, const Tweak128 &t)
 {
@@ -97,7 +87,131 @@ xorTweak(u8 *block, const Tweak128 &t)
  */
 constexpr u64 kChunkBytes = 16 * kPageSize;
 
+#if defined(SEVF_XEX_AESNI)
+
+SEVF_AESNI_TARGET inline __m128i
+aesRound(__m128i s, __m128i k, bool decrypt)
+{
+    // The equivalent-inverse-cipher schedule (InvMixColumns on the
+    // middle round keys) is exactly what aesdec expects.
+    return decrypt ? _mm_aesdec_si128(s, k) : _mm_aesenc_si128(s, k);
+}
+
+SEVF_AESNI_TARGET inline __m128i
+aesLastRound(__m128i s, __m128i k, bool decrypt)
+{
+    return decrypt ? _mm_aesdeclast_si128(s, k) : _mm_aesenclast_si128(s, k);
+}
+
+inline __m128i
+tweakReg(const Tweak128 &t)
+{
+    return _mm_set_epi64x(static_cast<long long>(t.hi),
+                          static_cast<long long>(t.lo));
+}
+
+/** XEX of the line at @p src under tweak @p tw, round keys @p k. */
+SEVF_AESNI_TARGET inline __m128i
+xexLine(const __m128i *k, bool decrypt, const u8 *src, __m128i tw)
+{
+    __m128i s = _mm_xor_si128(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(src)),
+        _mm_xor_si128(tw, k[0]));
+    for (int r = 1; r < 10; ++r) {
+        s = aesRound(s, k[r], decrypt);
+    }
+    return _mm_xor_si128(aesLastRound(s, k[10], decrypt), tw);
+}
+
+#endif // SEVF_XEX_AESNI
+
 } // namespace
+
+namespace detail {
+
+SEVF_AESNI_TARGET void
+xexLinesAesni(const Aes128 &aes, bool decrypt, const u8 *src, u8 *dst,
+              u64 lines, Tweak128 t)
+{
+#if defined(SEVF_XEX_AESNI)
+    const __m128i *rk =
+        reinterpret_cast<const __m128i *>(aes.roundKeyBytes(decrypt));
+    __m128i k[11];
+    for (int r = 0; r < 11; ++r) {
+        k[r] = _mm_loadu_si128(rk + r);
+    }
+    u64 i = 0;
+    // Four lines in flight: one line's ten rounds are a latency chain,
+    // and four independent chains keep the AES unit busy (about twice
+    // the throughput of one chain on an AES-NI Xeon).
+    for (; i + 4 <= lines; i += 4) {
+        const u8 *in = src + 16 * i;
+        __m128i t0 = tweakReg(t);
+        gfDouble(t);
+        __m128i t1 = tweakReg(t);
+        gfDouble(t);
+        __m128i t2 = tweakReg(t);
+        gfDouble(t);
+        __m128i t3 = tweakReg(t);
+        gfDouble(t);
+        __m128i s0 = _mm_xor_si128(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(in)),
+            _mm_xor_si128(t0, k[0]));
+        __m128i s1 = _mm_xor_si128(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(in + 16)),
+            _mm_xor_si128(t1, k[0]));
+        __m128i s2 = _mm_xor_si128(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(in + 32)),
+            _mm_xor_si128(t2, k[0]));
+        __m128i s3 = _mm_xor_si128(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(in + 48)),
+            _mm_xor_si128(t3, k[0]));
+        for (int r = 1; r < 10; ++r) {
+            s0 = aesRound(s0, k[r], decrypt);
+            s1 = aesRound(s1, k[r], decrypt);
+            s2 = aesRound(s2, k[r], decrypt);
+            s3 = aesRound(s3, k[r], decrypt);
+        }
+        __m128i *out = reinterpret_cast<__m128i *>(dst + 16 * i);
+        _mm_storeu_si128(out,
+                         _mm_xor_si128(aesLastRound(s0, k[10], decrypt), t0));
+        _mm_storeu_si128(out + 1,
+                         _mm_xor_si128(aesLastRound(s1, k[10], decrypt), t1));
+        _mm_storeu_si128(out + 2,
+                         _mm_xor_si128(aesLastRound(s2, k[10], decrypt), t2));
+        _mm_storeu_si128(out + 3,
+                         _mm_xor_si128(aesLastRound(s3, k[10], decrypt), t3));
+    }
+    for (; i < lines; ++i) {
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(dst + 16 * i),
+                         xexLine(k, decrypt, src + 16 * i, tweakReg(t)));
+        gfDouble(t);
+    }
+#else
+    (void)aes, (void)decrypt, (void)src, (void)dst, (void)lines, (void)t;
+    panic("xexLinesAesni: built without AES-NI support");
+#endif
+}
+
+void
+xexLinesTable(const Aes128 &aes, bool decrypt, const u8 *src, u8 *dst,
+              u64 lines, Tweak128 t)
+{
+    for (u64 i = 0; i < lines; ++i) {
+        u8 *block = dst + 16 * i;
+        std::memmove(block, src + 16 * i, 16);
+        xorTweak(block, t);
+        if (decrypt) {
+            aes.decryptBlockTable(block);
+        } else {
+            aes.encryptBlockTable(block);
+        }
+        xorTweak(block, t);
+        gfDouble(t);
+    }
+}
+
+} // namespace detail
 
 XexCipher::XexCipher(const Aes128Key &key, const Aes128Key &tweak_key)
     : data_cipher_(key), tweak_cipher_(tweak_key)
@@ -116,117 +230,80 @@ XexCipher::XexCipher(const Aes128Key &key, const Aes128Key &tweak_key)
     }
 }
 
-AesBlock
+Tweak128
 XexCipher::tweakFor(u64 line_addr) const
 {
     // XTS-style: one AES invocation per 4 KiB page, then a single O(1)
     // jump to the line's position in the page (multiply by x^i). Tweaks
     // stay unique per physical line, which is the property everything
     // else relies on (§7.1).
-    AesBlock t = {};
-    storeLe<u64>(t.data(), alignDown(line_addr, kPageSize));
-    tweak_cipher_.encryptBlock(t.data());
-    unsigned line_index =
-        static_cast<unsigned>((line_addr % kPageSize) / 16);
-    Tweak128 tw = loadTweak(t.data());
-    gfMulXPow(tw, line_index);
-    storeLe<u64>(t.data(), tw.lo);
-    storeLe<u64>(t.data() + 8, tw.hi);
+    AesBlock b = {};
+    storeLe<u64>(b.data(), alignDown(line_addr, kPageSize));
+    tweak_cipher_.encryptBlock(b.data());
+    Tweak128 t{loadLe<u64>(b.data()), loadLe<u64>(b.data() + 8)};
+    gfMulXPow(t, static_cast<unsigned>((line_addr % kPageSize) / 16));
     return t;
 }
 
 void
-XexCipher::encryptRange(u8 *data, u64 len, u64 addr) const
+XexCipher::cryptRange(ByteSpan src, u8 *dst, u64 addr, bool decrypt) const
 {
-    Tweak128 t{0, 0};
-    u64 next_tweak_addr = ~u64{0};
-    for (u64 off = 0; off < len; off += 16) {
-        u64 line_addr = addr + off;
-        if (line_addr % kPageSize == 0 || line_addr != next_tweak_addr) {
-            AesBlock base = tweakFor(line_addr);
-            t = loadTweak(base.data());
-        } else {
-            gfDouble(t);
-        }
-        next_tweak_addr = line_addr + 16;
-        u8 *block = data + off;
-        xorTweak(block, t);
-        data_cipher_.encryptBlock(block);
-        xorTweak(block, t);
-    }
-}
-
-void
-XexCipher::decryptRange(u8 *data, u64 len, u64 addr) const
-{
-    Tweak128 t{0, 0};
-    u64 next_tweak_addr = ~u64{0};
-    for (u64 off = 0; off < len; off += 16) {
-        u64 line_addr = addr + off;
-        if (line_addr % kPageSize == 0 || line_addr != next_tweak_addr) {
-            AesBlock base = tweakFor(line_addr);
-            t = loadTweak(base.data());
-        } else {
-            gfDouble(t);
-        }
-        next_tweak_addr = line_addr + 16;
-        u8 *block = data + off;
-        xorTweak(block, t);
-        data_cipher_.decryptBlock(block);
-        xorTweak(block, t);
-    }
-}
-
-void
-XexCipher::encrypt(MutByteSpan data, u64 addr) const
-{
-    SEVF_CHECK(data.size() % 16 == 0);
+    const u64 len = src.size();
+    SEVF_CHECK(len % 16 == 0);
     SEVF_CHECK(addr % 16 == 0);
-    static obs::KernelMetrics &metrics = obs::kernelMetrics("xex_encrypt");
-    obs::KernelTimer timer(metrics, data.size());
-    SEVF_SPAN("xex.encrypt", "bytes", static_cast<u64>(data.size()));
+    SEVF_CHECK(dst == src.data() || dst + len <= src.data() ||
+               src.data() + len <= dst);
+    if (len == 0) {
+        return;
+    }
+    // Resolved once per range: a plain branch, so the call graph sees
+    // both line loops.
+    const bool aesni = Aes128::hardwareAccelerated();
     // Page-parallel bulk path: every 16-byte line's tweak depends only
-    // on its own address, so disjoint page-aligned chunks encrypt
+    // on its own address, so disjoint page-aligned chunks run
     // independently and bit-identically at any host thread count.
     u64 page_base = alignDown(addr, kPageSize);
-    u64 span = addr + data.size() - page_base;
     base::parallelFor(
-        0, pagesFor(span), kChunkBytes / kPageSize,
+        0, pagesFor(addr + len - page_base), kChunkBytes / kPageSize,
         [&](u64 page_lo, u64 page_hi) {
-            u64 lo = std::max(addr, page_base + page_lo * kPageSize);
-            u64 hi =
-                std::min(addr + data.size(), page_base + page_hi * kPageSize);
-            if (lo < hi) {
-                encryptRange(data.data() + (lo - addr), hi - lo, lo);
+            for (u64 page = page_lo; page < page_hi; ++page) {
+                u64 lo = std::max(addr, page_base + page * kPageSize);
+                u64 hi = std::min(addr + len,
+                                  page_base + (page + 1) * kPageSize);
+                const u8 *s = src.data() + (lo - addr);
+                u8 *d = dst + (lo - addr);
+                if (aesni) {
+                    detail::xexLinesAesni(data_cipher_, decrypt, s, d,
+                                          (hi - lo) / 16, tweakFor(lo));
+                } else {
+                    detail::xexLinesTable(data_cipher_, decrypt, s, d,
+                                          (hi - lo) / 16, tweakFor(lo));
+                }
             }
         });
-    // Encryption is a declassification boundary: the buffer now holds
-    // ciphertext, which the host may see. (Plaintext labelling is page
-    // granular and lives in GuestMemory's shadow, not on scratch
-    // buffers, so decrypt() deliberately does not mark.)
-    taint::clearRange(data.data(), data.size());
 }
 
 void
-XexCipher::decrypt(MutByteSpan data, u64 addr) const
+XexCipher::encrypt(ByteSpan src, u8 *dst, u64 addr) const
 {
-    SEVF_CHECK(data.size() % 16 == 0);
-    SEVF_CHECK(addr % 16 == 0);
+    static obs::KernelMetrics &metrics = obs::kernelMetrics("xex_encrypt");
+    obs::KernelTimer timer(metrics, src.size());
+    SEVF_SPAN("xex.encrypt", "bytes", static_cast<u64>(src.size()));
+    cryptRange(src, dst, addr, false);
+    // Encryption is a declassification boundary: the destination now
+    // holds ciphertext, which the host may see. (Plaintext labelling is
+    // page granular and lives in GuestMemory's shadow, not on scratch
+    // buffers, so decrypt() deliberately does not mark.)
+    taint::clearRange(dst, src.size());
+}
+
+void
+XexCipher::decrypt(ByteSpan src, u8 *dst, u64 addr) const
+{
     static obs::KernelMetrics &metrics = obs::kernelMetrics("xex_decrypt");
-    obs::KernelTimer timer(metrics, data.size());
-    SEVF_SPAN("xex.decrypt", "bytes", static_cast<u64>(data.size()));
-    u64 page_base = alignDown(addr, kPageSize);
-    u64 span = addr + data.size() - page_base;
-    base::parallelFor(
-        0, pagesFor(span), kChunkBytes / kPageSize,
-        [&](u64 page_lo, u64 page_hi) {
-            u64 lo = std::max(addr, page_base + page_lo * kPageSize);
-            u64 hi =
-                std::min(addr + data.size(), page_base + page_hi * kPageSize);
-            if (lo < hi) {
-                decryptRange(data.data() + (lo - addr), hi - lo, lo);
-            }
-        });
+    obs::KernelTimer timer(metrics, src.size());
+    SEVF_SPAN("xex.decrypt", "bytes", static_cast<u64>(src.size()));
+    cryptRange(src, dst, addr, true);
 }
 
 } // namespace sevf::crypto

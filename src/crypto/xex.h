@@ -17,6 +17,10 @@
 
 namespace sevf::crypto {
 
+namespace detail {
+struct Tweak128; // crypto/xex_lines.h
+} // namespace detail
+
 /**
  * Per-VM-key XEX cipher: C = E_k(P ^ T(addr)) ^ T(addr) where the tweak
  * T(addr) = E_k2(addr || 0...) depends on the system physical address of
@@ -32,16 +36,27 @@ class XexCipher
      */
     XexCipher(const Aes128Key &key, const Aes128Key &tweak_key);
 
-    /** Encrypt @p data (multiple of 16 bytes) located at @p addr in place. */
-    void encrypt(MutByteSpan data, u64 addr) const;
+    /**
+     * Encrypt @p src (a multiple of 16 bytes that sits at system
+     * physical address @p addr) into @p dst, which must hold src.size()
+     * bytes. @p dst may equal src.data() (in place) but must not
+     * partially overlap it. Clears the taint labels of @p dst: it now
+     * holds ciphertext the host may see.
+     */
+    void encrypt(ByteSpan src, u8 *dst, u64 addr) const;
 
-    /** Decrypt @p data (multiple of 16 bytes) located at @p addr in place. */
-    void decrypt(MutByteSpan data, u64 addr) const;
+    /** Decrypt @p src at @p addr into @p dst; same contract as encrypt. */
+    void decrypt(ByteSpan src, u8 *dst, u64 addr) const;
 
   private:
-    AesBlock tweakFor(u64 line_addr) const;
-    void encryptRange(u8 *data, u64 len, u64 addr) const;
-    void decryptRange(u8 *data, u64 len, u64 addr) const;
+    /** The base tweak of the 16-byte line at @p line_addr. */
+    detail::Tweak128 tweakFor(u64 line_addr) const;
+    /**
+     * The one range walker behind encrypt and decrypt: page-parallel
+     * chunks, one tweakFor per page, and the page's lines in one line
+     * loop (AES-NI or T-table, chosen once per range).
+     */
+    void cryptRange(ByteSpan src, u8 *dst, u64 addr, bool decrypt) const;
 
     Aes128 data_cipher_;
     Aes128 tweak_cipher_;

@@ -1,5 +1,8 @@
 #include "guest/bootstrap_loader.h"
 
+#include <algorithm>
+
+#include "base/bytes.h"
 #include "base/rng.h"
 #include "base/trust_zones.h"
 #include "image/bzimage.h"
@@ -9,20 +12,25 @@ namespace sevf::guest {
 
 namespace {
 
-/** Place @p elf's PT_LOAD segments into guest memory, slid by @p slide. */
+/**
+ * Place @p elf's PT_LOAD segments into guest memory, slid by @p slide:
+ * each segment is written straight from the parsed buffer, and BSS
+ * tails are zero-filled from the static zero block.
+ */
 Result<u64>
-placeSegments(memory::GuestMemory &mem, const image::ElfImage &elf,
+placeSegments(memory::GuestMemory &mem, const image::ElfView &elf,
               bool c_bit, u64 slide = 0)
 {
     u64 loaded = 0;
-    for (const image::ElfSegment &seg : elf.segments) {
+    for (const image::ElfSegmentView &seg : elf.segments) {
         Gpa dest = seg.vaddr + slide;
         SEVF_RETURN_IF_ERROR(mem.guestWrite(dest, seg.data, c_bit));
         loaded += seg.data.size();
-        if (seg.memsz > seg.data.size()) {
-            ByteVec zeros(seg.memsz - seg.data.size(), 0);
+        for (u64 off = seg.data.size(); off < seg.memsz;
+             off += zeroBlock().size()) {
+            u64 n = std::min<u64>(zeroBlock().size(), seg.memsz - off);
             SEVF_RETURN_IF_ERROR(
-                mem.guestWrite(dest + seg.data.size(), zeros, c_bit));
+                mem.guestWrite(dest + off, zeroBlock().first(n), c_bit));
         }
     }
     return loaded;
@@ -51,7 +59,7 @@ runBootstrapLoader(memory::GuestMemory &mem, Gpa bzimage_gpa, u64 size,
 
     SEVF_ASSIGN_OR_RETURN(image::BzImageInfo info, image::parseBzImage(file));
     SEVF_ASSIGN_OR_RETURN(ByteVec vmlinux, image::extractVmlinux(file));
-    SEVF_ASSIGN_OR_RETURN(image::ElfImage elf, image::parseElf(vmlinux));
+    SEVF_ASSIGN_OR_RETURN(image::ElfView elf, image::parseElfView(vmlinux));
     u64 slide = pickSlide(kaslr);
     SEVF_ASSIGN_OR_RETURN(u64 loaded, placeSegments(mem, elf, c_bit, slide));
 
@@ -70,7 +78,7 @@ loadVmlinuxAt(memory::GuestMemory &mem, Gpa vmlinux_gpa, u64 size,
 {
     SEVF_ASSIGN_OR_RETURN(ByteVec file,
                           mem.guestRead(vmlinux_gpa, size, c_bit));
-    SEVF_ASSIGN_OR_RETURN(image::ElfImage elf, image::parseElf(file));
+    SEVF_ASSIGN_OR_RETURN(image::ElfView elf, image::parseElfView(file));
     SEVF_ASSIGN_OR_RETURN(u64 loaded, placeSegments(mem, elf, c_bit));
     LoadedKernel out;
     out.entry = elf.entry;

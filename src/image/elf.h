@@ -48,10 +48,28 @@ inline constexpr std::size_t kPhdrSize = 56;
 /** Serialize to ELF64 bytes (header + phdrs + segment data). */
 ByteVec writeElf(const ElfImage &image);
 
+/** One PT_LOAD segment as a view into the parsed file. */
+struct ElfSegmentView {
+    u64 vaddr = 0;
+    u32 flags = kPfR;
+    u64 memsz = 0;  //!< >= data.size(); the excess is BSS
+    ByteSpan data;  //!< file contents, inside the parsed buffer
+};
+
+/** A loadable ELF image whose segments borrow the parsed buffer. */
+struct ElfView {
+    u64 entry = 0;
+    std::vector<ElfSegmentView> segments;
+};
+
 /**
- * Parse an ELF64 vmlinux. Validates magic, class (64-bit LE), machine
- * (EM_X86_64) and program-header geometry; collects PT_LOAD segments.
+ * Parse an ELF64 vmlinux without copying it. Validates magic, class
+ * (64-bit LE), machine (EM_X86_64) and program-header geometry, and
+ * bounds every PT_LOAD against the file. The view borrows @p file.
  */
+Result<ElfView> parseElfView(ByteSpan file);
+
+/** parseElfView, with each segment copied out of @p file. */
 Result<ElfImage> parseElf(ByteSpan file);
 
 /**

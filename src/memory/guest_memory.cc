@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 
+#include "base/bytes.h"
 #include "base/logging.h"
 #include "base/parallel.h"
 #include "obs/metrics.h"
@@ -124,7 +125,7 @@ GuestMemory::materializePage(u64 page) const
         // Per-VM ciphertext: the cached plaintext meets this VM's key
         // and SPA tweak only here, at first touch.
         SEVF_CHECK(engine_ != nullptr);
-        engine_->encrypt(MutByteSpan(dst, kPageSize),
+        engine_->encrypt(ByteSpan(dst, kPageSize), dst,
                          spa_base_ + page * kPageSize);
     }
     // Plain counter, not an obs metric: this runs on TCB-reachable read
@@ -220,9 +221,8 @@ GuestMemory::captureSnapshot(const std::vector<GpaRange> &exclude) const
         if (!pageWritten(gpa)) {
             continue;
         }
-        static const u8 kZeroPage[kPageSize] = {};
-        bool zero =
-            std::memcmp(bytes_.data() + gpa, kZeroPage, kPageSize) == 0;
+        bool zero = std::memcmp(bytes_.data() + gpa, zeroBlock().data(),
+                                kPageSize) == 0;
         cls[p] = zero ? PageClass::kSkip : PageClass::kShared;
     }
 
@@ -240,8 +240,8 @@ GuestMemory::captureSnapshot(const std::vector<GpaRange> &exclude) const
         if (enc) {
             // Store plaintext: ciphertext is per-VM (VEK + SPA tweak),
             // so the template re-encrypts on materialization instead.
-            SEVF_ASSIGN_OR_RETURN(
-                *buf, guestRead(p * kPageSize, (q - p) * kPageSize, true));
+            buf->resize((q - p) * kPageSize);
+            SEVF_RETURN_IF_ERROR(guestReadInto(p * kPageSize, *buf, true));
         } else {
             buf->assign(bytes_.begin() + p * kPageSize,
                         bytes_.begin() + q * kPageSize);
@@ -418,66 +418,100 @@ GuestMemory::guestWrite(Gpa gpa, ByteSpan data, bool c_bit)
     // indistinguishable ciphertext.
     joinPageLabels(gpa, data.size(), taint::query(data) | taint::kGuestData);
 
-    // Read-modify-write at encryption-line granularity, but only the
-    // boundary lines need decrypting - fully overwritten lines are
-    // encrypted straight through (the common bulk-copy path).
-    Gpa line_start = alignDown(gpa, kLine);
-    Gpa line_end = alignUp(gpa + data.size(), kLine);
-    ByteVec scratch(bytes_.begin() + line_start, bytes_.begin() + line_end);
-
-    Gpa last_line = line_end - kLine;
-    bool first_partial =
-        gpa != line_start ||
-        (last_line == line_start && gpa + data.size() != line_end);
-    if (first_partial) {
-        engine_->decrypt(MutByteSpan(scratch.data(), kLine),
-                         spa_base_ + line_start);
+    // Whole lines are encrypted straight from the caller's span into
+    // DRAM; only a partial head or tail line is read, patched and
+    // re-encrypted (rewriteLine).
+    Gpa end = gpa + data.size();
+    Gpa body_begin = std::min(alignUp(gpa, kLine), end);
+    Gpa body_end = std::max(alignDown(end, kLine), body_begin);
+    if (gpa < body_begin) {
+        rewriteLine(gpa, data.first(body_begin - gpa));
     }
-    if (gpa + data.size() != line_end && last_line != line_start) {
-        engine_->decrypt(
-            MutByteSpan(scratch.data() + (last_line - line_start), kLine),
-            spa_base_ + last_line);
+    if (body_begin < body_end) {
+        engine_->encrypt(data.subspan(body_begin - gpa, body_end - body_begin),
+                         bytes_.data() + body_begin, spa_base_ + body_begin);
     }
-    std::copy(data.begin(), data.end(),
-              scratch.begin() + (gpa - line_start));
-    engine_->encrypt(scratch, spa_base_ + line_start);
+    if (body_end < end) {
+        rewriteLine(body_end, data.subspan(body_end - gpa));
+    }
     markWritten(gpa, data.size());
-    std::copy(scratch.begin(), scratch.end(), bytes_.begin() + line_start);
     return Status::ok();
+}
+
+void
+GuestMemory::rewriteLine(Gpa gpa, ByteSpan data)
+{
+    Gpa line = alignDown(gpa, kLine);
+    SEVF_CHECK(gpa + data.size() <= line + kLine);
+    u8 plain[kLine];
+    engine_->decrypt(ByteSpan(bytes_.data() + line, kLine), plain,
+                     spa_base_ + line);
+    std::memcpy(plain + (gpa - line), data.data(), data.size());
+    engine_->encrypt(ByteSpan(plain, kLine), bytes_.data() + line,
+                     spa_base_ + line);
 }
 
 Result<ByteVec>
 GuestMemory::guestRead(Gpa gpa, u64 len, bool c_bit) const
 {
+    // Range first: a hostile length must fail typed, not allocate.
+    SEVF_RETURN_IF_ERROR(checkRange(gpa, len));
+    ByteVec out(len);
+    SEVF_RETURN_IF_ERROR(guestReadInto(gpa, out, c_bit));
+    return out;
+}
+
+Status
+GuestMemory::guestReadInto(Gpa gpa, MutByteSpan out, bool c_bit) const
+{
+    const u64 len = out.size();
     SEVF_RETURN_IF_ERROR(checkRange(gpa, len));
     materializeRange(gpa, len);
     if (!sevEnabled() || !c_bit) {
-        return ByteVec(bytes_.begin() + gpa, bytes_.begin() + gpa + len);
+        std::copy(bytes_.begin() + gpa, bytes_.begin() + gpa + len,
+                  out.begin());
+        return Status::ok();
     }
     if (len == 0) {
-        return ByteVec{};
+        return Status::ok();
     }
     SEVF_RETURN_IF_ERROR(checkGuestRange(gpa, len));
 
-    Gpa line_start = alignDown(gpa, kLine);
-    Gpa line_end = alignUp(gpa + len, kLine);
-    ByteVec scratch(bytes_.begin() + line_start, bytes_.begin() + line_end);
-    engine_->decrypt(scratch, spa_base_ + line_start);
-    ByteVec out(scratch.begin() + (gpa - line_start),
-                scratch.begin() + (gpa - line_start) + len);
+    // Whole lines are decrypted straight from DRAM into @p out; a
+    // partial head or tail line goes through a 16-byte stack buffer.
+    Gpa end = gpa + len;
+    Gpa body_begin = std::min(alignUp(gpa, kLine), end);
+    Gpa body_end = std::max(alignDown(end, kLine), body_begin);
+    u8 plain[kLine];
+    if (gpa < body_begin) {
+        Gpa line = alignDown(gpa, kLine);
+        engine_->decrypt(ByteSpan(bytes_.data() + line, kLine), plain,
+                         spa_base_ + line);
+        std::memcpy(out.data(), plain + (gpa - line), body_begin - gpa);
+    }
+    if (body_begin < body_end) {
+        engine_->decrypt(
+            ByteSpan(bytes_.data() + body_begin, body_end - body_begin),
+            out.data() + (body_begin - gpa), spa_base_ + body_begin);
+    }
+    if (body_end < end) {
+        engine_->decrypt(ByteSpan(bytes_.data() + body_end, kLine), plain,
+                         spa_base_ + body_end);
+        std::memcpy(out.data() + (body_end - gpa), plain, end - body_end);
+    }
     // Decrypted plaintext inherits the secret tags of its pages. Plain
     // kGuestData (measured kernel/initrd content) stays unmarked so the
     // hot verifier read path does not scatter labels over short-lived
     // buffers; explicitly provisioned secrets do get carried.
     taint::TaintSet labels = taint::kNone;
     for (Gpa page = alignDown(gpa, kPageSize);
-         page <= alignDown(gpa + len - 1, kPageSize); page += kPageSize) {
+         page <= alignDown(end - 1, kPageSize); page += kPageSize) {
         labels |= pageLabel(page);
     }
     if ((labels & ~taint::kGuestData) != taint::kNone) {
         taint::mark(out.data(), out.size(), labels);
     }
-    return out;
+    return Status::ok();
 }
 
 Status
@@ -502,8 +536,8 @@ GuestMemory::pspEncryptInPlace(Gpa gpa, u64 len)
     // byte-range labels (the DRAM now holds public ciphertext).
     joinPageLabels(gpa, whole, taint::kGuestData);
     markWritten(gpa, whole);
-    MutByteSpan region(bytes_.data() + gpa, whole);
-    engine_->encrypt(region, spa_base_ + gpa);
+    engine_->encrypt(ByteSpan(bytes_.data() + gpa, whole), bytes_.data() + gpa,
+                     spa_base_ + gpa);
     if (integrityEnforced()) {
         for (Gpa page = gpa; page < gpa + whole; page += kPageSize) {
             SEVF_RETURN_IF_ERROR(

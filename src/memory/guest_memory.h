@@ -137,7 +137,14 @@ class GuestMemory
      */
     Status guestWrite(Gpa gpa, ByteSpan data, bool c_bit);
 
-    /** Guest read; decrypts when @p c_bit is set. Same RMP checks. */
+    /**
+     * Guest read of out.size() bytes at @p gpa into @p out; decrypts
+     * when @p c_bit is set. Same RMP checks as guestWrite. Decrypted
+     * bytes inherit the secret labels of their pages.
+     */
+    Status guestReadInto(Gpa gpa, MutByteSpan out, bool c_bit) const;
+
+    /** guestReadInto a freshly allocated buffer of @p len bytes. */
     Result<ByteVec> guestRead(Gpa gpa, u64 len, bool c_bit) const;
 
     // ---- PSP-side (LAUNCH_UPDATE_DATA) ----
@@ -255,6 +262,11 @@ class GuestMemory
      */
     void markWritten(Gpa gpa, u64 len);
     u64 writtenPageCount() const;
+    /**
+     * C-bit write of @p data into part of the one 16-byte line holding
+     * @p gpa: decrypt the line, patch it, encrypt it back.
+     */
+    void rewriteLine(Gpa gpa, ByteSpan data);
     /** Copy (and for encrypted views, encrypt) one CoW page into DRAM. */
     void materializePage(u64 page) const;
     /** Materialize every CoW page overlapping [gpa, gpa+len). */

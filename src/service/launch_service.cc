@@ -29,6 +29,14 @@ inline constexpr const char *kRejectedHelp =
     "quota, shed, injected fault, shutdown), per tenant";
 inline constexpr const char *kLatencyHelp =
     "Submit-to-resolution wall nanoseconds, per tenant";
+inline constexpr const char *kAdmittedHelp =
+    "Launches admitted to the launch queue";
+inline constexpr const char *kDepthHelp =
+    "Launches waiting in the launch queue (peak)";
+inline constexpr const char *kDoneHelp =
+    "Launches completed by the launch queue";
+inline constexpr const char *kQueueWaitHelp =
+    "Wall nanoseconds a launch waited for a worker";
 
 } // namespace
 
@@ -55,7 +63,16 @@ LaunchService::LaunchService(core::Platform &platform,
       shed_total_(obs::Registry::instance().counter(
           "sevf_admission_shed_total", kShedHelp)),
       quota_total_(obs::Registry::instance().counter(
-          "sevf_admission_rejected_quota_total", kQuotaHelp))
+          "sevf_admission_rejected_quota_total", kQuotaHelp)),
+      admitted_total_(obs::Registry::instance().counter(
+          "sevf_admission_submitted_total", kAdmittedHelp)),
+      queue_depth_(obs::Registry::instance().gauge(
+          "sevf_admission_queue_depth", kDepthHelp)),
+      completed_total_(obs::Registry::instance().counter(
+          "sevf_admission_completed_total", kDoneHelp)),
+      queue_wait_(obs::Registry::instance().histogram(
+          "sevf_admission_queue_wait_ns", kQueueWaitHelp,
+          obs::defaultTimeBoundsNs()))
 {
     applyQuotas();
     unsigned n = config.workers != 0
@@ -244,16 +261,8 @@ LaunchService::submit(const std::string &tenant, core::StrategyKind kind,
             "tenant " + tenant + " over its queued-launch quota"));
     }
     work_.notify_one();
-    if (obs::metricsEnabled()) {
-        obs::Registry::instance()
-            .counter("sevf_admission_submitted_total",
-                     "Launches admitted to the launch queue")
-            .add();
-        obs::Registry::instance()
-            .gauge("sevf_admission_queue_depth",
-                   "Launches waiting in the launch queue (peak)")
-            .setMax(static_cast<i64>(depth));
-    }
+    admitted_total_.add();
+    queue_depth_.setMax(static_cast<i64>(depth));
     return ticket;
 }
 
@@ -298,11 +307,7 @@ LaunchService::workerLoop()
         }
         space_.notify_one();
         if (obs::metricsEnabled()) {
-            obs::Registry::instance()
-                .histogram("sevf_admission_queue_wait_ns",
-                           "Wall nanoseconds a launch waited for a worker",
-                           obs::defaultTimeBoundsNs())
-                .observe(obs::wallNowNs() - job.submit_ns);
+            queue_wait_.observe(obs::wallNowNs() - job.submit_ns);
         }
 
         // Strategies are stateless (core/launch.h): a temporary per job
@@ -322,7 +327,10 @@ LaunchService::workerLoop()
             }
         }
         // A worker resolves only launches that ran: completed or failed.
+        // Counted before active_ drops, so drain() cannot return ahead
+        // of the count.
         (ok ? job.metrics.completed : job.metrics.failed)->add();
+        completed_total_.add();
         job.metrics.latency->observe(obs::wallNowNs() - job.submit_ns);
         job.ticket->complete(std::move(result));
         {
@@ -335,12 +343,6 @@ LaunchService::workerLoop()
         }
         // The freed in-flight slot may unblock a capped tenant's job.
         work_.notify_all();
-        if (obs::metricsEnabled()) {
-            obs::Registry::instance()
-                .counter("sevf_admission_completed_total",
-                         "Launches completed by the launch queue")
-                .add();
-        }
     }
 }
 

@@ -177,11 +177,16 @@ class LaunchService
     TenantRegistry &registry_;
     std::size_t queue_limit_;
     bool shed_on_full_;
-    // Registered in the constructor, so the rejection counters appear
+    // Registered in the constructor, so the admission families appear
     // (zero-valued) in every export and the obscheck doc gates cover
-    // them on fault-free runs.
+    // the rejection counters on fault-free runs; resolved once, so no
+    // launch takes the registry lock for them.
     obs::Counter &shed_total_;
     obs::Counter &quota_total_;
+    obs::Counter &admitted_total_;
+    obs::Gauge &queue_depth_;
+    obs::Counter &completed_total_;
+    obs::Histogram &queue_wait_;
 
     mutable base::Mutex mu_;
     std::condition_variable space_; //!< queue has a free slot / stopping

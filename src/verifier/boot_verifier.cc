@@ -83,22 +83,31 @@ BootVerifier::validateMemory(const VerifierInputs &inputs)
     return validated;
 }
 
+Status
+BootVerifier::copyAndHash(Gpa staging, Gpa dest, u64 len,
+                          crypto::Sha256 &hash, VerifierStats &stats)
+{
+    // Single fetch: each shared chunk is read once into the bounce
+    // buffer, and that copy is both hashed and encrypted. A host that
+    // rewrites the staging pages meanwhile changes neither.
+    bounce_.resize(kCopyChunk);
+    for (u64 off = 0; off < len; off += kCopyChunk) {
+        MutByteSpan chunk(bounce_.data(), std::min(kCopyChunk, len - off));
+        SEVF_RETURN_IF_ERROR(mem_.guestReadInto(staging + off, chunk, false));
+        hash.update(chunk);
+        SEVF_RETURN_IF_ERROR(mem_.guestWrite(dest + off, chunk, true));
+        stats.bytes_copied += chunk.size();
+        stats.bytes_hashed += chunk.size();
+    }
+    return Status::ok();
+}
+
 Result<crypto::Sha256Digest>
 BootVerifier::protectAndHash(Gpa staging, Gpa dest, u64 len,
                              VerifierStats &stats)
 {
     crypto::Sha256 hash;
-    for (u64 off = 0; off < len; off += kCopyChunk) {
-        u64 n = std::min(kCopyChunk, len - off);
-        Result<ByteVec> chunk = mem_.guestRead(staging + off, n, false);
-        if (!chunk.isOk()) {
-            return chunk.status();
-        }
-        hash.update(*chunk);
-        SEVF_RETURN_IF_ERROR(mem_.guestWrite(dest + off, *chunk, true));
-        stats.bytes_copied += n;
-        stats.bytes_hashed += n;
-    }
+    SEVF_RETURN_IF_ERROR(copyAndHash(staging, dest, len, hash, stats));
     return hash.finalize();
 }
 
@@ -146,29 +155,15 @@ BootVerifier::streamVmlinux(const VerifierInputs &inputs,
         if (p->type != image::kPtLoad) {
             continue;
         }
-        for (u64 off = 0; off < p->filesz; off += kCopyChunk) {
-            u64 n = std::min(kCopyChunk, p->filesz - off);
-            Result<ByteVec> chunk =
-                mem_.guestRead(staging + p->offset + off, n, false);
-            if (!chunk.isOk()) {
-                return chunk.status();
-            }
-            hash.update(*chunk);
-            SEVF_RETURN_IF_ERROR(
-                mem_.guestWrite(p->vaddr + off, *chunk, true));
-            stats.bytes_copied += n;
-            stats.bytes_hashed += n;
-        }
+        SEVF_RETURN_IF_ERROR(copyAndHash(staging + p->offset, p->vaddr,
+                                         p->filesz, hash, stats));
         // Zero the BSS tail in protected memory.
-        if (p->memsz > p->filesz) {
-            ByteVec zeros(std::min<u64>(kCopyChunk, p->memsz - p->filesz), 0);
-            for (u64 off = p->filesz; off < p->memsz;
-                 off += zeros.size()) {
-                u64 n = std::min<u64>(zeros.size(), p->memsz - off);
-                SEVF_RETURN_IF_ERROR(mem_.guestWrite(
-                    p->vaddr + off, ByteSpan(zeros.data(), n), true));
-                stats.bytes_copied += n;
-            }
+        for (u64 off = p->filesz; off < p->memsz;
+             off += zeroBlock().size()) {
+            u64 n = std::min<u64>(zeroBlock().size(), p->memsz - off);
+            SEVF_RETURN_IF_ERROR(mem_.guestWrite(
+                p->vaddr + off, zeroBlock().first(n), true));
+            stats.bytes_copied += n;
         }
     }
 

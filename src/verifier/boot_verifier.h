@@ -105,7 +105,15 @@ class BootVerifier
     /** pvalidate every page outside keep_shared; returns pages touched. */
     Result<u64> validateMemory(const VerifierInputs &inputs);
 
-    /** Copy [staging, staging+len) to private dest while hashing. */
+    /**
+     * Copy [staging, staging+len) to private @p dest, feeding @p hash
+     * exactly the bytes it encrypts: every host-shared byte is read
+     * once, into bounce_.
+     */
+    Status copyAndHash(Gpa staging, Gpa dest, u64 len, crypto::Sha256 &hash,
+                       VerifierStats &stats);
+
+    /** copyAndHash one whole component; returns its digest. */
     Result<crypto::Sha256Digest> protectAndHash(Gpa staging, Gpa dest,
                                                 u64 len,
                                                 VerifierStats &stats);
@@ -116,6 +124,8 @@ class BootVerifier
                               VerifierStats &stats);
 
     memory::GuestMemory &mem_;
+    /** The one buffer shared chunks are fetched into (kCopyChunk). */
+    ByteVec bounce_;
 };
 
 } // namespace sevf::verifier

@@ -6,7 +6,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <utility>
 
 #include "base/bytes.h"
 #include "base/rng.h"
@@ -335,6 +337,92 @@ TEST_F(GuestMemoryTest, PartialStartAlignedEndWithinOneLine)
     EXPECT_EQ((*r)[14], 'z');
     EXPECT_EQ((*r)[15], 'z');
     EXPECT_EQ((*r)[16], 0xcc);
+}
+
+TEST_F(GuestMemoryTest, CBitAccessesMatchWholeLineModel)
+{
+    // Model: the region's plaintext, encrypted whole-line at its SPA by
+    // an independent engine with the same key. Every write shape (one
+    // byte, partial head, partial tail, both in one line, page
+    // spanning, aligned) must leave DRAM equal to the model, and every
+    // read shape must return the model's plaintext.
+    enableSev();
+    std::unique_ptr<crypto::XexCipher> model = makeEngine(1234);
+    constexpr Gpa kBase = 0x4000;
+    constexpr u64 kLen = 3 * kPageSize;
+    claimPages(kBase, kLen);
+    Rng rng(5);
+    ByteVec plain(kLen);
+    rng.fill(plain);
+    ASSERT_TRUE(mem_.guestWrite(kBase, plain, true).isOk());
+
+    struct Access {
+        u64 off;
+        u64 len;
+    };
+    const Access accesses[] = {
+        {5, 1},         {17, 15},   {32, 7},     {40, 5},  {4090, 20},
+        {4095, 1},      {3, 9000},  {4096, 4096}, {0, 16}, {8176, 4112},
+        {kLen - 1, 1},
+    };
+    for (const Access &a : accesses) {
+        ByteVec data(a.len);
+        rng.fill(data);
+        ASSERT_TRUE(mem_.guestWrite(kBase + a.off, data, true).isOk());
+        std::copy(data.begin(), data.end(), plain.begin() + a.off);
+
+        ByteVec expect(kLen);
+        model->encrypt(plain, expect.data(), kSpaBase + kBase);
+        ByteSpan dram = mem_.raw().subspan(kBase, kLen);
+        EXPECT_TRUE(std::equal(dram.begin(), dram.end(), expect.begin()))
+            << "write at +" << a.off << " len " << a.len;
+
+        for (const Access &r : accesses) {
+            Result<ByteVec> got = mem_.guestRead(kBase + r.off, r.len, true);
+            ASSERT_TRUE(got.isOk());
+            EXPECT_TRUE(std::equal(got->begin(), got->end(),
+                                   plain.begin() + r.off))
+                << "read at +" << r.off << " len " << r.len;
+        }
+    }
+    ByteVec into(100);
+    ASSERT_TRUE(mem_.guestReadInto(kBase + 4050, into, true).isOk());
+    EXPECT_TRUE(std::equal(into.begin(), into.end(), plain.begin() + 4050));
+}
+
+TEST_F(GuestMemoryTest, TamperedLineIsDetectedOnEveryReadShape)
+{
+    // A physical attacker flips one ciphertext bit. Reads that cover
+    // the line (whole, partial head, partial tail) see garbage there;
+    // a partial write into the line keeps the garbage around the patch
+    // instead of silently repairing it; other lines are untouched.
+    enableSev();
+    claimPages(0x6000, kPageSize);
+    ByteVec plain(256, 0x5a);
+    ASSERT_TRUE(mem_.guestWrite(0x6000, plain, true).isOk());
+    Result<ByteVec> line = mem_.hostRead(0x6040, 16);
+    ASSERT_TRUE(line.isOk());
+    (*line)[3] ^= 0x01;
+    mem_.hostWriteUnchecked(0x6040, *line);
+
+    for (auto [gpa, len] : {std::pair<Gpa, u64>{0x6000, 256},
+                            {0x6045, 40}, {0x6030, 20}}) {
+        Result<ByteVec> r = mem_.guestRead(gpa, len, true);
+        ASSERT_TRUE(r.isOk());
+        EXPECT_NE(*r, ByteVec(len, 0x5a)) << "read at " << gpa;
+    }
+    Result<ByteVec> clean = mem_.guestRead(0x6050, 0xb0, true);
+    ASSERT_TRUE(clean.isOk());
+    EXPECT_EQ(*clean, ByteVec(0xb0, 0x5a));
+
+    ASSERT_TRUE(mem_.guestWrite(0x6044, toBytes("ok"), true).isOk());
+    Result<ByteVec> patched = mem_.guestRead(0x6040, 16, true);
+    ASSERT_TRUE(patched.isOk());
+    EXPECT_EQ((*patched)[4], 'o');
+    EXPECT_EQ((*patched)[5], 'k');
+    ByteVec rest = *patched;
+    rest[4] = rest[5] = 0x5a;
+    EXPECT_NE(rest, ByteVec(16, 0x5a));
 }
 
 

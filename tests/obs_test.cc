@@ -12,7 +12,9 @@
 #include <set>
 
 #include "base/parallel.h"
+#include "compress/codec.h"
 #include "core/launch.h"
+#include "core/trace_builder.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -293,6 +295,56 @@ TEST_F(ObsTest, KernelTimerAccumulatesBytes)
     EXPECT_EQ(km.bytes_total.value(), 4096u);
     // Wall time is nonzero but unpredictable; just require it moved.
     EXPECT_GT(km.wall_ns_total.value(), 0u);
+}
+
+TEST_F(ObsTest, Lz4DecompressIsChargedInOutputBytes)
+{
+    ScopedEnable on(true, false);
+    const compress::Codec &lz4 =
+        compress::codecFor(compress::CodecKind::kLz4);
+    ByteVec plain = workload::compressibleBytes(64 * 1024, 0.3, 7);
+    ByteVec packed = lz4.compress(plain);
+    ASSERT_LT(packed.size(), plain.size());
+    KernelMetrics &km = kernelMetrics("lz4_decompress");
+    u64 before = km.bytes_total.value();
+    ASSERT_TRUE(lz4.decompress(packed).isOk());
+    EXPECT_EQ(km.bytes_total.value() - before, plain.size());
+}
+
+TEST_F(ObsTest, TraceBuilderChargesStepAndPhaseFamilies)
+{
+    // The per-kind and per-phase handles are cached after the first
+    // step; every later step must still land on the right series.
+    ScopedEnable on(true, false);
+    vmm::DebugPort port;
+    core::TraceBuilder tb(port);
+    tb.cpu(sim::Duration::nanos(5), sim::phase::kVmm, "a");
+    tb.psp(sim::Duration::nanos(7), sim::phase::kPreEncryption, "b");
+    tb.cpu(sim::Duration::nanos(3), sim::phase::kVmm, "c");
+    tb.net(sim::Duration::nanos(11), sim::phase::kAttestation, "d");
+    sim::Step custom{sim::StepKind::kCpu, sim::Duration::nanos(13),
+                     "custom_phase", "e", {}};
+    tb.replay(custom);
+
+    Registry &reg = Registry::instance();
+    auto step = [&](const char *kind) {
+        return reg.histogram("sevf_sim_step_ns", "", defaultTimeBoundsNs(),
+                             {{"kind", kind}})
+            .snapshot();
+    };
+    EXPECT_EQ(step("cpu").count, 3u);
+    EXPECT_EQ(step("cpu").sum, 21u);
+    EXPECT_EQ(step("psp").count, 1u);
+    EXPECT_EQ(step("net").sum, 11u);
+    auto phase = [&](const char *name) {
+        return reg.counter("sevf_launch_phase_sim_ns_total", "",
+                           {{"phase", name}})
+            .value();
+    };
+    EXPECT_EQ(phase(sim::phase::kVmm), 8u);
+    EXPECT_EQ(phase(sim::phase::kPreEncryption), 7u);
+    EXPECT_EQ(phase(sim::phase::kAttestation), 11u);
+    EXPECT_EQ(phase("custom_phase"), 13u);
 }
 
 /**

@@ -144,6 +144,44 @@ TEST(LaunchServiceTest, RegisteredTenantsLaunchAndAreCounted)
     }
 }
 
+TEST(LaunchServiceTest, DrainReturnsOnlyAfterEveryCompletionIsCounted)
+{
+    // drain() returning means the export may be taken: the admission
+    // completed counter must already equal the submitted one, without
+    // waiting on any ticket first.
+    obs::ScopedEnable obs_on(/*metrics=*/true, /*tracing=*/false);
+    core::Platform platform(sim::CostParams::deterministic());
+    service::TenantRegistry registry;
+    service::ServiceConfig config;
+    config.workers = 2;
+    service::LaunchService svc(platform, registry, config);
+    ASSERT_TRUE(svc.registerTenant("t", {}).isOk());
+    obs::Registry &reg = obs::Registry::instance();
+    for (int round = 0; round < 3; ++round) {
+        reg.reset();
+        constexpr int kLaunches = 12;
+        std::vector<std::shared_ptr<core::LaunchTicket>> tickets;
+        for (int i = 0; i < kLaunches; ++i) {
+            tickets.push_back(svc.submit(
+                "t", core::StrategyKind::kSeveriFastBz, smallRequest()));
+        }
+        svc.drain();
+        EXPECT_EQ(reg.counter("sevf_admission_submitted_total", "").value(),
+                  u64{kLaunches});
+        EXPECT_EQ(reg.counter("sevf_admission_completed_total", "").value(),
+                  u64{kLaunches})
+            << "round " << round;
+        EXPECT_EQ(reg.histogram("sevf_admission_queue_wait_ns", "",
+                                obs::defaultTimeBoundsNs())
+                      .snapshot()
+                      .count,
+                  u64{kLaunches});
+        for (auto &ticket : tickets) {
+            ASSERT_TRUE(ticket->take().isOk());
+        }
+    }
+}
+
 TEST(LaunchServiceTest, QuotaShareProgramsCacheBudgets)
 {
     core::Platform platform(sim::CostParams::deterministic());
